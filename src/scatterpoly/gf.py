@@ -45,6 +45,14 @@ def is_prime(m: int) -> bool:
     return True
 
 
+def int_dtype(bound: int) -> np.dtype:
+    """Narrowest signed numpy integer dtype that holds every value in [-bound, bound]."""
+    for dt in (np.int8, np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(dt).max:
+            return np.dtype(dt)
+    raise FieldError(f"no integer dtype holds {bound}")
+
+
 def check_ceiling(size: int, ceiling: int | None) -> None:
     limit = DEFAULT_ENUM_CEILING if ceiling is None else ceiling
     if size > limit:
@@ -369,7 +377,8 @@ class FieldCtx:
     def _digit_table(self) -> np.ndarray:
         if self._digits_np is None:
             vs = np.arange(self.order, dtype=np.int64)
-            self._digits_np = ((vs[:, None] // self._pp_np) % self.p).astype(np.int8)
+            # wide enough for the sum of two digits in add_vec
+            self._digits_np = ((vs[:, None] // self._pp_np) % self.p).astype(int_dtype(2 * self.p - 2))
         return self._digits_np
 
     def digits_vec(self, vs: np.ndarray) -> np.ndarray:

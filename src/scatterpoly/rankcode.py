@@ -2,17 +2,20 @@
 
 The code consists of q^(2n) F_q-linear maps; the rank distance of a nonzero
 codeword is n minus its kernel dimension.  Scaling the pair (a, b) by a
-nonzero field element fixes the kernel, so the distance sweep runs over the
-q^n + 1 scaling classes (1, b) and (0, 1) and the histogram is scaled back.
+nonzero field element fixes the kernel, so the q^n + 1 scaling classes (1, b)
+and (0, 1) are read off one kernel sweep over c*X^(q^t) - f and the
+histogram is scaled back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf import FFElt, FieldCtx, FieldError, check_ceiling
-from .linpoly import QPoly, kernel_dim
-from .scattered import ScatterVerdict, scatter_test
+import numpy as np
+
+from .gf import FieldCtx, FieldError
+from .linpoly import QPoly
+from .scattered import ScatterVerdict, kernel_dims_per_scalar, scatter_test
 
 
 @dataclass(frozen=True)
@@ -38,29 +41,16 @@ class MRDReport:
     kernel_histogram: dict
 
 
-def _rep_kernel_dims(spec: CodeSpec):
-    """Kernel dimension for one representative of each scaling class."""
-    ctx, t, f = spec.ctx, spec.t, spec.f
-    xqt = QPoly.monomial(ctx, t)
-    dims = [kernel_dim(f)]  # class (0, 1)
-    for b_enc in range(ctx.order):  # class (1, b)
-        g = xqt.add(f.scale(FFElt(ctx, b_enc)))
-        dims.append(kernel_dim(g))
-    return dims
-
-
 def min_distance(spec: CodeSpec, ceiling=None) -> MRDReport:
-    """Distance sweep over the projective pairs; never materializes matrices
-    per codeword, the kernel dimension comes from the linearized polynomial."""
+    """Distance sweep over the q^n + 1 scaling classes, never the codewords.
+    X^(q^t) + b*f has the kernel of c*X^(q^t) - f with c = -1/b, so the sweep
+    over c covers (1, b) for b != 0 and (0, 1) at c = 0; (1, 0) has kernel 0."""
     ctx = spec.ctx
-    check_ceiling(ctx.order, ceiling)
     n, q = ctx.d, ctx.q
-    dims = _rep_kernel_dims(spec)
-    hist: dict[int, int] = {}
-    for dim in dims:
-        hist[dim] = hist.get(dim, 0) + (ctx.order - 1)
-    dmax = max(dims)
-    dist = n - dmax
+    counts = np.bincount(kernel_dims_per_scalar(spec.f, spec.t, ceiling))
+    counts[0] += 1
+    hist = {dim: int(cnt) * (ctx.order - 1) for dim, cnt in enumerate(counts) if cnt}
+    dist = n - max(hist)
     return MRDReport(
         code_size=q ** (2 * n),
         min_distance=dist,

@@ -5,11 +5,12 @@ elements has every fiber of size exactly q - 1, equivalently when every map
 c*X^(q^t) - f(X) has kernel of F_q-dimension at most 1.  Both routes are
 implemented: a fiber-bucketing scan (primary, produces witnesses) and a
 kernel-dimension sweep over all scalars c (batched Gaussian elimination over
-F_p).  They must agree; small instances are cross-checked inline.
+F_p, the package's one bulk kernel engine).  They must agree; small instances
+are cross-checked inline.
 
 Also here: linear-set weight spectra, extension-field scans, the decision
-predicates for guaranteed non-scatteredness, and the pair-product image and
-completion searches used by the degree-q^2 classification facts.
+predicates for guaranteed non-scatteredness, the pair-product image, and the
+completion search (a re-indexed sweep) behind the degree-q^2 facts.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ REASON_GCD = "gcd(k, n) > 1 with k <= n/4"
 REASON_INEQUALITY = "component bound inequality with k <= n/4"
 
 _INLINE_CROSSCHECK_MAX = 1 << 12
+_CHUNK = 1 << 13  # scalars per batched elimination
 
 
 @dataclass(frozen=True)
@@ -91,17 +93,18 @@ def _batch_rank_modp(a: np.ndarray, p: int) -> np.ndarray:
     """Ranks of a batch of square matrices over F_p.
 
     The layout is (rows, cols, batch) so every kernel runs on contiguous
-    batch slices; `a` holds reduced entries in [0, p) and is consumed.
-    Row order is tracked with a used-mask instead of physical swaps.
+    batch slices; `a` holds reduced entries in [0, p), in a dtype that holds
+    (p-1)^2, and is consumed.  Row order is tracked with a used-mask.
     """
     n, _, nb = a.shape
-    inv_arr = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=np.int8)
+    inv_arr = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=a.dtype)
     used = np.zeros((n, nb), dtype=bool)
     rank = np.zeros(nb, dtype=np.int64)
     # after a subtraction entries sit in [-(p-1)^2, p-1]; each round of
-    # `x -= p * (x >> 7)` adds p to the negative ones
+    # `x -= p * (x >> sign_shift)` adds p to the negative ones
     fix_rounds = 1 if p == 2 else ((p - 1) ** 2 + p - 1) // p
-    w = np.zeros((n, nb), dtype=np.int8)
+    sign_shift = 8 * a.itemsize - 1
+    w = np.zeros((n, nb), dtype=a.dtype)
     for col in range(n):
         found = np.zeros(nb, dtype=bool)
         pivot_mask = np.empty((n, nb), dtype=bool)
@@ -116,7 +119,8 @@ def _batch_rank_modp(a: np.ndarray, p: int) -> np.ndarray:
         tail = slice(col, n)
         for r in range(n):
             np.multiply(inv_arr[a[r, col]], pivot_mask[r], out=w[r])
-        pivn = (np.einsum("rcb,rb->cb", a[:, tail, :], w, dtype=np.int16) % p).astype(np.int8)
+        # w is nonzero on the pivot row only, so each sum is one product <= (p-1)^2
+        pivn = np.einsum("rcb,rb->cb", a[:, tail, :], w, dtype=a.dtype) % p
         for r in range(n):
             fac = a[r, col] * ~used[r]
             if not fac.any():
@@ -124,18 +128,8 @@ def _batch_rank_modp(a: np.ndarray, p: int) -> np.ndarray:
             at = a[r, tail, :]
             at -= fac[None, :] * pivn
             for _ in range(fix_rounds):
-                at -= p * (at >> 7)
+                at -= p * (at >> sign_shift)
     return rank
-
-
-def _kernel_dims_chunk(ctx, mul_big, fb_stack, cs: np.ndarray) -> np.ndarray:
-    p, e, n_p = ctx.p, ctx.e, ctx.N
-    dg = ctx.digits_vec(cs).astype(np.int16)
-    # digits of c*h_i are linear in the digits of c; all columns in one matmul
-    flat = (dg @ mul_big - fb_stack[None, :]) % p
-    mats = np.ascontiguousarray(flat.reshape(len(cs), n_p, n_p).transpose(2, 1, 0)).astype(np.int8)
-    ranks = _batch_rank_modp(mats, p)
-    return (n_p - ranks) // e
 
 
 def _kernel_setup(f: QPoly, t: int):
@@ -143,9 +137,10 @@ def _kernel_setup(f: QPoly, t: int):
     power basis, plus the stacked digits of the basis f-images."""
     ctx = f.ctx
     n_p = ctx.N
+    dt = np.promote_types(np.int16, gf.int_dtype(n_p * (ctx.p - 1) ** 2 + ctx.p))  # matmul sums
     basis = [ctx.pow_i(ctx.gen_enc, i) if n_p > 1 else 1 for i in range(n_p)]
-    mul_big = np.empty((n_p, n_p * n_p), dtype=np.int16)
-    fb_stack = np.empty(n_p * n_p, dtype=np.int16)
+    mul_big = np.empty((n_p, n_p * n_p), dtype=dt)
+    fb_stack = np.empty(n_p * n_p, dtype=dt)
     for i, bv in enumerate(basis):
         hv = ctx.frob_i(bv, t)
         for r in range(n_p):
@@ -154,32 +149,34 @@ def _kernel_setup(f: QPoly, t: int):
     return mul_big, fb_stack
 
 
-def kernel_dims_per_scalar(f: QPoly, t: int, ceiling=None, chunk: int = 1 << 13) -> np.ndarray:
+def _kernel_dim_chunks(f: QPoly, t: int, ceiling):
+    """Kernel dimensions of c*X^(q^t) - f for c in ascending encoding order,
+    one array per chunk of _CHUNK scalars."""
+    ctx = f.ctx
+    check_ceiling(ctx.order, ceiling)
+    p, n_p = ctx.p, ctx.N
+    mul_big, fb_stack = _kernel_setup(f, t)
+    entry = gf.int_dtype((p - 1) ** 2)
+    for start in range(0, ctx.order, _CHUNK):
+        cs = np.arange(start, min(start + _CHUNK, ctx.order), dtype=np.int64)
+        # digits of c*h_i are linear in the digits of c; all columns in one matmul
+        flat = (ctx.digits_vec(cs).astype(mul_big.dtype) @ mul_big - fb_stack) % p
+        mats = flat.reshape(len(cs), n_p, n_p).transpose(2, 1, 0)
+        yield (n_p - _batch_rank_modp(np.ascontiguousarray(mats, dtype=entry), p)) // ctx.e
+
+
+def kernel_dims_per_scalar(f: QPoly, t: int, ceiling=None) -> np.ndarray:
     """F_q-dimension of ker(c*X^(q^t) - f) for every scalar c, indexed by
     encoding.  Works on the F_p matrices of the maps; dim_Fp = e * dim_Fq."""
-    ctx = f.ctx
-    check_ceiling(ctx.order, ceiling)
-    mul_mats, fb_digits = _kernel_setup(f, t)
-    out = np.empty(ctx.order, dtype=np.int64)
-    for start in range(0, ctx.order, chunk):
-        cs = np.arange(start, min(start + chunk, ctx.order), dtype=np.int64)
-        out[start : start + len(cs)] = _kernel_dims_chunk(ctx, mul_mats, fb_digits, cs)
-    return out
+    return np.concatenate(list(_kernel_dim_chunks(f, t, ceiling)))
 
 
-def scatter_test_kernel(f: QPoly, t: int, ceiling=None, chunk: int = 1 << 13) -> bool:
+def scatter_test_kernel(f: QPoly, t: int, ceiling=None) -> bool:
     """Kernel-dimension scatteredness test: no scalar c may give a kernel of
-    dimension 2 or more.  Stops at the first offending scalar."""
+    dimension 2 or more.  Stops at the first chunk holding an offending scalar."""
     if f.is_zero():
         raise FieldError("scatteredness is undefined for the zero map")
-    ctx = f.ctx
-    check_ceiling(ctx.order, ceiling)
-    mul_mats, fb_digits = _kernel_setup(f, t)
-    for start in range(0, ctx.order, chunk):
-        cs = np.arange(start, min(start + chunk, ctx.order), dtype=np.int64)
-        if (_kernel_dims_chunk(ctx, mul_mats, fb_digits, cs) > 1).any():
-            return False
-    return True
+    return not any((dims > 1).any() for dims in _kernel_dim_chunks(f, t, ceiling))
 
 
 def is_scattered(inst: NormalizedInstance, ceiling=None) -> ScatterVerdict:
@@ -345,13 +342,11 @@ def find_many_roots_completion(b: FFElt, ceiling=None) -> FFElt | None:
     """First a (canonical order) making X^(q^2) + a*X^q + b*X have a kernel of
     dimension exactly 2.  Requires Norm(b) = 1; returns None if no a works,
     which would contradict the classification and is treated as a test
-    failure by callers."""
+    failure by callers.  The map is a*X^q - f with f = -b*X - X^(q^2), so one
+    kernel sweep over all scalars a answers every candidate."""
     ctx = b.ctx
     if gf.norm_rel(b) != ctx.one:
         raise FieldError("precondition: the relative norm of b must be 1")
-    check_ceiling(ctx.order, ceiling)
-    for a_enc in range(ctx.order):
-        f = QPoly(ctx, [b, FFElt(ctx, a_enc), ctx.one])
-        if kernel_dim(f) == 2:
-            return FFElt(ctx, a_enc)
-    return None
+    f = QPoly(ctx, [-b, ctx.zero, -ctx.one])
+    hits = np.flatnonzero(kernel_dims_per_scalar(f, 1, ceiling) == 2)
+    return FFElt(ctx, int(hits[0])) if len(hits) else None

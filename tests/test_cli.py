@@ -44,6 +44,11 @@ def test_scatter_test_exit_codes(capsys):
     code, _, err = run(capsys, "scatter-test", "--field", "2^1^3", "--f", "0;;x", "--t", "0")
     assert code == 1 and err.startswith("error:")
 
+    # p = 131 does not fit int8 digits
+    code, out, err = run(capsys, "scatter-test", "--field", "131^1^2", "--f", "0;1")
+    assert code == 0 and err == ""
+    assert json.loads(out)["scattered"] is True
+
 
 def test_scatter_test_rejects_zero_poly(capsys):
     code, _, err = run(capsys, "scatter-test", "--field", "2^1^3", "--f", "0;0", "--t", "0")
@@ -85,6 +90,12 @@ def test_mrd_check_schema(capsys):
     rep = json.loads(out)
     assert rep["n"] == 3 and rep["q"] == 2 and rep["d"] == 2 and rep["mrd"] is True
     assert rep["kernel_histogram"] == {"0": 14, "1": 49}
+
+    code, out, _ = run(capsys, "mrd-check", "--field", "13^1^2", "--f", "0;1", "--t", "0")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["d"] == 1 and rep["mrd"] is True
+    assert rep["kernel_histogram"] == {"0": 26208, "1": 2352}
 
 
 def test_curve_subcommands(capsys):

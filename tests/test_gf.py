@@ -267,6 +267,16 @@ def test_vector_ops_match_scalar():
         assert all(ctx.inv_vec(nz)[i] == ctx.inv_i(int(nz[i])) for i in range(len(nz)))
 
 
+def test_vector_add_sub_wide_digits():
+    # digit sums reach 2(p - 1), past int8 from p = 67; from p = 131 p itself is past int8
+    for ctx in (gf.make_field(67, 1, 2), gf.make_field(131, 1, 2)):
+        u = np.arange(ctx.order, dtype=np.int64)
+        v = np.roll(u, 1)
+        add, sub = ctx.add_vec(u, v).tolist(), ctx.sub_vec(u, v).tolist()
+        assert add == [ctx.add_i(int(a), int(b)) for a, b in zip(u, v)]
+        assert sub == [ctx.sub_i(int(a), int(b)) for a, b in zip(u, v)]
+
+
 def test_mul_matches_schoolbook():
     # table multiplication against the bootstrap polynomial product
     for ctx in (gf.make_field(2, 1, 4), gf.make_field(3, 1, 2), gf.make_field(5, 1, 2)):

@@ -69,6 +69,32 @@ def test_projective_classes_cover_all_pairs():
     assert hist == rep.kernel_histogram
 
 
+def per_class_histogram(spec):
+    """Kernel dimension of one representative per scaling class, straight
+    from the scalar route: X^(q^t) + b*f for every b, and f for (0, 1)."""
+    ctx = spec.ctx
+    xqt = lp.QPoly.monomial(ctx, spec.t)
+    dims = [lp.kernel_dim(spec.f)]
+    dims += [lp.kernel_dim(xqt.add(spec.f.scale(gf.FFElt(ctx, b)))) for b in range(ctx.order)]
+    hist = {}
+    for dim in dims:
+        hist[dim] = hist.get(dim, 0) + ctx.order - 1
+    return hist
+
+
+def test_histogram_matches_per_class_reference():
+    rng = random.Random(8)
+    for ctx in (gf.make_field(13, 1, 2), gf.make_field(3, 2, 2), gf.make_field(5, 1, 3)):
+        for t in range(ctx.d):
+            for _ in range(3):
+                encs = [rng.randrange(ctx.order) for _ in range(ctx.d)]
+                encs[t] = 0
+                if not any(encs):
+                    continue
+                spec = rk.CodeSpec(ctx, t, lp.QPoly.from_encs(ctx, encs))
+                assert rk.min_distance(spec).kernel_histogram == per_class_histogram(spec)
+
+
 def test_codespec_validation():
     ctx = gf.make_field(2, 1, 3)
     with pytest.raises(gf.FieldError):

@@ -92,7 +92,11 @@ def test_fiber_and_kernel_testers_agree_exhaustively():
 
 def test_testers_agree_random_larger():
     rng = random.Random(23)
-    for ctx in (gf.make_field(2, 1, 6), gf.make_field(3, 1, 4), gf.make_field(2, 2, 3)):
+    # p = 13 and 17 need int16 entries; p = 191 needs int32 entries and matmuls
+    for ctx in (
+        gf.make_field(2, 1, 6), gf.make_field(3, 1, 4), gf.make_field(2, 2, 3),
+        gf.make_field(13, 1, 2), gf.make_field(17, 1, 2), gf.make_field(191, 1, 2),
+    ):
         for _ in range(10):
             f = lp.QPoly.from_encs(ctx, [rng.randrange(ctx.order) for _ in range(ctx.d)])
             if f.is_zero():
@@ -116,9 +120,10 @@ def test_scaling_invariance():
 
 
 def test_is_scattered_on_normalized_instance():
-    f8 = gf.make_field(2, 1, 3)
-    inst, _ = lp.normalize(lp.QPoly.monomial(f8, 1), 0)
-    assert sc.is_scattered(inst).scattered
+    # F_(13^2) is small enough for the inline kernel-sweep cross-check
+    for ctx in (gf.make_field(2, 1, 3), gf.make_field(13, 1, 2)):
+        inst, _ = lp.normalize(lp.QPoly.monomial(ctx, 1), 0)
+        assert sc.is_scattered(inst).scattered
 
 
 def test_monomial_law_small():
@@ -141,9 +146,12 @@ def test_linear_set_report_examples():
 
 def test_linear_set_weights_match_kernel_dims():
     # independent route: the weight of the point over c is the kernel
-    # dimension of c*X^(q^t) - f
+    # dimension of c*X^(q^t) - f, from the scalar route and the batched sweep
     rng = random.Random(41)
-    for ctx in (gf.make_field(2, 1, 4), gf.make_field(3, 1, 2), gf.make_field(2, 2, 2)):
+    for ctx in (
+        gf.make_field(2, 1, 4), gf.make_field(3, 1, 2), gf.make_field(2, 2, 2),
+        gf.make_field(13, 1, 2), gf.make_field(17, 1, 2),
+    ):
         for _ in range(6):
             f = lp.QPoly.from_encs(ctx, [rng.randrange(ctx.order) for _ in range(ctx.d)])
             if f.is_zero():
@@ -151,9 +159,10 @@ def test_linear_set_weights_match_kernel_dims():
             t = rng.randrange(ctx.d)
             rep = sc.linear_set_report_raw(f, t)
             xqt = lp.QPoly.monomial(ctx, t)
+            dims = [lp.kernel_dim(xqt.scale(gf.FFElt(ctx, c)).sub(f)) for c in range(ctx.order)]
+            assert sc.kernel_dims_per_scalar(f, t).tolist() == dims
             spectrum = {}
-            for c in range(ctx.order):
-                w = lp.kernel_dim(xqt.scale(gf.FFElt(ctx, c)).sub(f))
+            for w in dims:
                 if w:
                     spectrum[w] = spectrum.get(w, 0) + 1
             assert spectrum == rep.weight_spectrum
