@@ -1,7 +1,7 @@
 """Scattered linearized polynomials over finite fields: testers, rank-metric
 code reports, plane-curve audits and exhaustive verification campaigns."""
 
-from . import cli, curve, gf, linpoly, rankcode, scattered, suites
+from . import curve, gf, linpoly, rankcode, scattered, suites
 from .gf import (
     CeilingExceeded,
     ContextMismatch,

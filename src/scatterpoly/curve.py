@@ -534,17 +534,10 @@ def _count_affine_grid(fe: BivarPoly, predicate: str) -> AffineCount:
     witness = None
     for start in range(0, order, chunk):
         xs_c = np.arange(start, min(start + chunk, order), dtype=np.int64)
-        # accumulate digit vectors, reducing mod p before int16 could overflow
-        acc = np.zeros((len(xs_c), order, ext.N), dtype=np.int16)
-        pending = 0
+        acc = 0
         for xprof, yprof in profiles:
-            contrib = ext.mul_vec(xprof[xs_c][:, None], yprof[None, :])
-            acc += ext.digits_vec(contrib).astype(np.int16, copy=False)
-            pending += 1
-            if pending * (ext.p - 1) > 30000:
-                acc %= ext.p
-                pending = 1
-        mask = ~(acc % ext.p).any(axis=-1)
+            acc = ext.add_vec(acc, ext.mul_vec(xprof[xs_c][:, None], yprof[None, :]))
+        mask = acc == 0
         if ratio_mode:
             ratios = ext.mul_vec(ext.inv_vec(np.where(xs_c == 0, 1, xs_c))[:, None], ys[None, :])
             mask &= ~in_subfield[ratios]

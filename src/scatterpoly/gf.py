@@ -6,9 +6,13 @@ modulus.  The canonical element order is ascending encoding order, so 0 and 1
 are always the first two elements and enumeration is reproducible.
 
 The modulus is the lexicographically least monic irreducible polynomial of
-degree N over F_p, coefficients compared from the constant term up.  All
-multiplicative structure runs on discrete-log tables built once per field;
-numpy kernels back the bulk operations used by exhaustive scans.
+degree N over F_p, coefficients compared from the constant term up.
+
+Arithmetic runs on one log layout built once per field: discrete logs to a
+least multiplicative generator, antilogs, and for odd p the Zech logarithms
+Z(k) = log(1 + g^k), so u + v = u * (1 + v/u) is table lookups as well.  For
+p = 2 addition is XOR, the native addition of the encoding.  numpy kernels
+back the bulk operations used by exhaustive scans.
 """
 
 from __future__ import annotations
@@ -18,6 +22,9 @@ import itertools
 import numpy as np
 
 DEFAULT_ENUM_CEILING = 1 << 22
+# Largest field whose log tables are built: about 1.75 GiB of tables, and
+# int32 sums of two logs stay below 2^31.
+TABLE_CEILING = 1 << 26
 
 
 class FieldError(ValueError):
@@ -192,14 +199,13 @@ class FieldCtx:
         # encoding of the modulus root g (for N = 1 the power basis is just {1})
         self.gen_enc = p % self.order if self.N > 1 else (-modulus[0]) % p
         self._exp = None
-        self._exp_ext = None
         self._log = None
+        self._zech = None
         self._qpow_mod = {}
         self._subfield_gen_enc = None
         self._subfield_elems = None
         self._coord_solver = None
         self._mulgen_enc = None
-        self._digits_np = None
 
     # -- identity ----------------------------------------------------------
 
@@ -264,8 +270,15 @@ class FieldCtx:
         raise FieldError("no multiplicative generator found")
 
     def _ensure_tables(self):
+        """Build the log layout: `_log` (int32, -1 at 0); `_exp`, the powers
+        g^0 .. g^(q-2) twice over and a trailing 0, so a sum of two logs
+        indexes it directly and index -1 reads 0; and for odd p `_zech`,
+        Z(k) = log(1 + g^k) twice over, so a difference of two logs indexes it
+        directly (negative differences wrap)."""
         if self._exp is not None:
             return
+        if self.order > TABLE_CEILING:
+            raise CeilingExceeded(f"log tables for {self.order} elements exceed the cap of {TABLE_CEILING}")
         q1 = self.order - 1
         gen = self._find_mult_generator()
         self._mulgen_enc = gen
@@ -275,30 +288,25 @@ class FieldCtx:
         for _ in range(block - 1):
             small.append(self._mul_slow(small[-1], gen))
         step_enc = self._mul_slow(small[-1], gen)  # gen^block
-        # matrix of multiplication by gen^block acting on digit vectors
-        mstep = np.zeros((N, N), dtype=np.int64)
-        for c in range(N):
-            col = self._mul_slow(step_enc, self._pp[c])
-            mstep[:, c] = self.digits(col)
-        dig = np.zeros((block, N), dtype=np.int64)
-        for b, v in enumerate(small):
-            dig[b] = self.digits(v)
+        # row c holds the digits of gen^block * g^c: multiplication by gen^block on digit rows
+        mstep = self.digits_vec([self._mul_slow(step_enc, pp) for pp in self._pp[:N]])
+        dig = self.digits_vec(small)
         exp = np.empty(q1, dtype=np.int64)
-        pos = 0
-        while pos < q1:
+        for pos in range(0, q1, block):
             take = min(block, q1 - pos)
             exp[pos : pos + take] = dig[:take] @ self._pp_np
-            pos += take
-            if pos < q1:
-                dig = (dig @ mstep.T) % p
+            dig = dig @ mstep % p
         counts = np.bincount(exp, minlength=self.order)
         if counts.max() != 1 or counts[0] != 0:
             raise FieldError("internal error: bad discrete log table")
-        self._exp = exp
-        self._exp_ext = np.concatenate([exp, np.zeros(1, dtype=np.int64)])
-        log = np.full(self.order, -1, dtype=np.int64)
-        log[exp] = np.arange(q1, dtype=np.int64)
+        log = np.full(self.order, -1, dtype=np.int32)
+        log[exp] = np.arange(q1, dtype=np.int32)
+        if p > 2:
+            # 1 + x only increments digit 0 of x
+            low = exp % p
+            self._zech = np.tile(log[exp - low + (low + 1) % p], 2)
         self._log = log
+        self._exp = np.concatenate([exp, exp, np.zeros(1, dtype=np.int64)])
 
     @property
     def mult_generator_enc(self) -> int:
@@ -316,41 +324,35 @@ class FieldCtx:
     # -- scalar arithmetic on encodings --------------------------------------
 
     def add_i(self, u: int, v: int) -> int:
-        p = self.p
-        if p == 2:
-            return u ^ v
-        out = 0
-        pp = self._pp
-        for i in range(self.N):
-            out += ((u // pp[i] + v // pp[i]) % p) * pp[i]
-        return out
-
-    def neg_i(self, u: int) -> int:
-        p = self.p
-        if p == 2:
-            return u
-        out = 0
-        pp = self._pp
-        for i in range(self.N):
-            out += ((-(u // pp[i])) % p) * pp[i]
-        return out
-
-    def sub_i(self, u: int, v: int) -> int:
         if self.p == 2:
             return u ^ v
+        if u == 0 or v == 0:
+            return u or v
+        self._ensure_tables()
+        lu = int(self._log[u])
+        z = int(self._zech[int(self._log[v]) - lu])
+        return 0 if z < 0 else int(self._exp[lu + z])
+
+    def neg_i(self, u: int) -> int:
+        if self.p == 2 or u == 0:
+            return u
+        self._ensure_tables()
+        return int(self._exp[int(self._log[u]) + (self.order - 1) // 2])  # -1 = g^((q-1)/2)
+
+    def sub_i(self, u: int, v: int) -> int:
         return self.add_i(u, self.neg_i(v))
 
     def mul_i(self, u: int, v: int) -> int:
         if u == 0 or v == 0:
             return 0
         self._ensure_tables()
-        return int(self._exp[(int(self._log[u]) + int(self._log[v])) % (self.order - 1)])
+        return int(self._exp[int(self._log[u]) + int(self._log[v])])
 
     def inv_i(self, u: int) -> int:
         if u == 0:
             raise ZeroDivisionError("inversion of zero")
         self._ensure_tables()
-        return int(self._exp[(-int(self._log[u])) % (self.order - 1)])
+        return int(self._exp[self.order - 1 - int(self._log[u])])
 
     def pow_i(self, u: int, m: int) -> int:
         if m < 0:
@@ -374,60 +376,53 @@ class FieldCtx:
 
     # -- vector arithmetic (numpy arrays of encodings) ------------------------
 
-    def _digit_table(self) -> np.ndarray:
-        if self._digits_np is None:
-            vs = np.arange(self.order, dtype=np.int64)
-            # wide enough for the sum of two digits in add_vec
-            self._digits_np = ((vs[:, None] // self._pp_np) % self.p).astype(int_dtype(2 * self.p - 2))
-        return self._digits_np
-
     def digits_vec(self, vs: np.ndarray) -> np.ndarray:
-        vs = np.asarray(vs, dtype=np.int64)
-        if self.order <= DEFAULT_ENUM_CEILING:
-            return self._digit_table()[vs]
-        return (vs[..., None] // self._pp_np) % self.p
+        """Base-p digits of encodings along a new last axis, digit 0 first."""
+        rest = np.array(vs, dtype=np.int64)
+        out = np.empty(rest.shape + (self.N,), dtype=np.int64)
+        for i in range(self.N):
+            np.divmod(rest, self.p, out=(rest, out[..., i]))
+        return out
 
-    def undigits_vec(self, dg: np.ndarray) -> np.ndarray:
-        return dg.astype(np.int64) @ self._pp_np
+    def _add_logs(self, lu, lv):
+        """Encodings of g^lu + g^lv for odd p, a log of -1 standing for 0."""
+        z = self._zech[lv - lu]  # log(1 + g^(lv - lu))
+        s = np.where(z < 0, -1, lu + z)  # z = -1: v = -u
+        return self._exp[np.where(lu < 0, lv, np.where(lv < 0, lu, s))]
 
     def add_vec(self, u, v):
         if self.p == 2:
             return u ^ v
-        s = self.digits_vec(u) + self.digits_vec(v)
-        s -= s.dtype.type(self.p) * (s >= self.p)
-        return self.undigits_vec(s)
+        self._ensure_tables()
+        return self._add_logs(self._log[u], self._log[v])
 
     def sub_vec(self, u, v):
         if self.p == 2:
             return u ^ v
-        s = self.digits_vec(u) - self.digits_vec(v)
-        s += s.dtype.type(self.p) * (s < 0)
-        return self.undigits_vec(s)
+        self._ensure_tables()
+        lv = self._log[v]
+        return self._add_logs(self._log[u], np.where(lv < 0, -1, lv + (self.order - 1) // 2))
 
     def mul_vec(self, u, v):
         self._ensure_tables()
-        lu = self._log[np.asarray(u, dtype=np.int64)]
-        lv = self._log[np.asarray(v, dtype=np.int64)]
-        # log is -1 at zero; route those products to the sentinel slot holding 0
-        idx = (lu + lv) % (self.order - 1)
-        idx = np.where((lu < 0) | (lv < 0), self.order - 1, idx)
-        return self._exp_ext[idx]
+        lu, lv = self._log[u], self._log[v]
+        return self._exp[np.where((lu < 0) | (lv < 0), -1, lu + lv)]
 
     def inv_vec(self, u):
         self._ensure_tables()
         if (u == 0).any():
             raise ZeroDivisionError("inversion of zero")
-        return self._exp[(-self._log[u]) % (self.order - 1)]
+        return self._exp[self.order - 1 - self._log[u]]
 
     def pow_vec(self, u, m: int):
         self._ensure_tables()
         u = np.asarray(u, dtype=np.int64)
         if m == 0:
             return np.ones(u.shape, dtype=np.int64)
-        out = np.zeros(u.shape, dtype=np.int64)
-        nz = u != 0
-        out[nz] = self._exp[(self._log[u[nz]] * (m % (self.order - 1))) % (self.order - 1)]
-        return out
+        q1 = self.order - 1
+        lu = self._log[u]
+        # int64 product: an int32 log times an exponent below q - 1 can pass 2^31
+        return self._exp[np.where(lu < 0, -1, np.multiply(lu, m % q1, dtype=np.int64) % q1)]
 
     def frob_vec(self, u, s: int):
         if s == 0:

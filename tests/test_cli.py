@@ -1,7 +1,10 @@
 """Command-line surface: exit codes, report schemas, determinism."""
 
 import json
-
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from scatterpoly import cli
 
@@ -184,3 +187,18 @@ def test_bad_field_specs(capsys):
     for spec in ("2^1", "a^b^c", "4^1^2"):
         code, _, err = run(capsys, "field-info", "--field", spec)
         assert code == 1 and err.startswith("error:")
+
+
+def test_field_over_table_cap_is_an_error(capsys):
+    # F_(3^24) is reached through subfield_gen; its log tables would take terabytes
+    code, out, err = run(capsys, "field-info", "--field", "3^2^12")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_module_entry_point_runs_quietly():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "scatterpoly.cli", "field-info", "--field", "2^1^3"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["order"] == 8

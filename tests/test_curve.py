@@ -1,6 +1,7 @@
 """Curve machinery: exact division, scatter curves, infinity points, counts,
 multiplicities, transforms, branch series, resultants and gap audits."""
 
+import itertools
 import random
 
 import pytest
@@ -127,9 +128,12 @@ def test_count_affine_basics():
     assert (res.witness[0].val, res.witness[1].val) == (v.witness[0].val, v.witness[1].val)
 
 
-def test_count_affine_matches_grid_oracle():
-    rng = random.Random(8)
-    for ctx in (gf.make_field(2, 1, 3), gf.make_field(3, 1, 2)):
+def test_count_affine_matches_grid_oracle(monkeypatch):
+    fields = (gf.make_field(2, 1, 3), gf.make_field(3, 1, 2), gf.make_field(5, 1, 2), gf.make_field(2, 2, 2))
+    # 64-cell blocks split every grid into several x-blocks
+    for block_cells, ctx in itertools.product((cv._GRID_BLOCK_CELLS, 64), fields):
+        monkeypatch.setattr(cv, "_GRID_BLOCK_CELLS", block_cells)
+        rng = random.Random(8)
         for _ in range(8):
             terms = {
                 (rng.randrange(4), rng.randrange(4)): rng.randrange(ctx.order) for _ in range(4)

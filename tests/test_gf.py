@@ -283,3 +283,43 @@ def test_mul_matches_schoolbook():
         for u in range(ctx.order):
             for v in range(0, ctx.order, 3):
                 assert ctx.mul_i(u, v) == ctx._mul_slow(u, v)
+
+
+def _digitwise(ctx, u, v, sign):
+    """Reference addition on base-p digits: undigits((digits(u) + sign * digits(v)) % p)."""
+    return ctx.undigits([(a + sign * b) % ctx.p for a, b in zip(ctx.digits(u), ctx.digits(v))])
+
+
+def test_addition_matches_digitwise_reference():
+    fields = (
+        gf.make_field(3, 1, 3), gf.make_field(3, 2, 2), gf.make_field(5, 1, 2), gf.make_field(13, 1, 2),
+        gf.make_field(131, 1, 2), gf.make_field(3, 1, 3, modulus=(2, 2, 0, 1)),  # X^3 + 2X + 2, not the canonical X^3 + 2X + 1
+    )
+    for ctx in fields:
+        u = np.arange(ctx.order, dtype=np.int64)
+        neg_u = [_digitwise(ctx, 0, a, -1) for a in range(ctx.order)]
+        assert [ctx.neg_i(a) for a in range(ctx.order)] == neg_u
+        # v = 0 (and u = 0 at index 0), u = v, u = -v, and unrelated pairs
+        for v in (np.zeros_like(u), u, np.array(neg_u), np.roll(u, 1), np.roll(u[::-1], 5)):
+            for sign, scalar, vec in ((1, ctx.add_i, ctx.add_vec), (-1, ctx.sub_i, ctx.sub_vec)):
+                ref = [_digitwise(ctx, a, b, sign) for a, b in zip(u.tolist(), v.tolist())]
+                assert [scalar(a, b) for a, b in zip(u.tolist(), v.tolist())] == ref
+                assert vec(u, v).tolist() == ref
+                assert vec(v, u).tolist() == [_digitwise(ctx, b, a, sign) for a, b in zip(u.tolist(), v.tolist())]
+
+
+def test_pow_frob_vec_past_int32_log_products():
+    # a log near 3^12 times an exponent near 3^11 passes 2^31
+    ctx = gf.make_field(3, 1, 12)
+    rng = np.random.default_rng(5)
+    g = ctx.mult_generator_enc
+    top = [ctx.pow_i(g, k) for k in range(ctx.order - 12, ctx.order - 1)]  # logs up to order - 2
+    u = np.concatenate([[0, 1, 2], rng.integers(0, ctx.order, 400), top])
+    assert ctx.frob_vec(u, 11).tolist() == [ctx.frob_i(int(a), 11) for a in u]
+    m = ctx.order - 2
+    assert ctx.pow_vec(u, m).tolist() == [ctx.pow_i(int(a), m) for a in u]
+
+
+def test_table_cap_checked_before_allocation():
+    with pytest.raises(gf.CeilingExceeded):
+        gf.make_field(2, 1, 30).inv_i(1)
