@@ -9,7 +9,8 @@ Field arguments accept "p^e^d" (canonical modulus) or "p^e^d:c0,c1,...,cN"
 "c_0;c_1;...;c_k" with each coefficient a comma-separated coordinate vector
 over F_p.  Reports are JSON (default) or CSV, byte-identical across runs for
 the same configuration and seed; exit codes are 0 for success (scatter-test:
-scattered), 2 for a negative scatter verdict and 1 for errors.
+scattered), 2 for a negative scatter verdict and 1 for errors, each reported as
+one "error: ..." line on stderr.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import argparse
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 from . import curve as cv
 from . import gf
@@ -31,19 +31,6 @@ from .linpoly import QPoly
 
 class CLIError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    field: str | None
-    fmt: str
-    seed: int
-    ceiling: int | None
-    out: str | None
-
-    def __post_init__(self):
-        if self.ceiling is not None and self.ceiling <= 0:
-            raise CLIError("--ceiling must be positive")
 
 
 def parse_field(spec: str) -> FieldCtx:
@@ -78,11 +65,7 @@ def parse_elt(ctx: FieldCtx, lit: str) -> FFElt:
 
 
 def parse_qpoly(ctx: FieldCtx, text: str) -> QPoly:
-    try:
-        coeffs = [parse_elt(ctx, part) for part in text.split(";")]
-    except CLIError:
-        raise
-    poly = QPoly(ctx, coeffs)
+    poly = QPoly(ctx, [parse_elt(ctx, part) for part in text.split(";")])
     if poly.is_zero():
         raise CLIError("f must be nonzero")
     return poly
@@ -123,8 +106,8 @@ def render_witness(witness):
     return [render_elt(witness[0]), render_elt(witness[1])]
 
 
-def _emit(report: dict, csv_rows, cfg: RunConfig) -> None:
-    if cfg.fmt == "json":
+def _emit(report: dict, csv_rows, args) -> None:
+    if args.format == "json":
         text = json.dumps(report, sort_keys=True) + "\n"
     else:
         buf = io.StringIO()
@@ -133,8 +116,8 @@ def _emit(report: dict, csv_rows, cfg: RunConfig) -> None:
         for row in rows:
             buf.write(",".join("" if v is None else str(v) for v in row) + "\n")
         text = buf.getvalue()
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -142,7 +125,7 @@ def _emit(report: dict, csv_rows, cfg: RunConfig) -> None:
 
 # ---------------------------------------------------------------------------
 
-def _cmd_field_info(args, cfg: RunConfig):
+def _cmd_field_info(args):
     ctx = parse_field(args.field)
     sub = render_elt(ctx.subfield_gen) if ctx.d > 1 else None
     report = {
@@ -153,7 +136,6 @@ def _cmd_field_info(args, cfg: RunConfig):
         "order": ctx.order,
         "modulus": ",".join(str(c) for c in ctx.modulus),
         "subfield_gen": sub,
-        "seed": cfg.seed,
     }
     header = ["p", "e", "d", "q", "order", "modulus", "subfield_gen"]
     rows = [[ctx.p, ctx.e, ctx.d, ctx.q, ctx.order,
@@ -162,6 +144,7 @@ def _cmd_field_info(args, cfg: RunConfig):
 
 
 def _scatter_common(args):
+    """Field, q-polynomial and index of a --f command; the index lies in [0, d)."""
     ctx = parse_field(args.field)
     f = parse_qpoly(ctx, args.f)
     if args.t < 0 or args.t >= ctx.d:
@@ -169,18 +152,17 @@ def _scatter_common(args):
     return ctx, f, args.t
 
 
-def _cmd_scatter_test(args, cfg: RunConfig):
+def _cmd_scatter_test(args):
     ctx, f, t = _scatter_common(args)
-    verdict = sc.scatter_test(f, t, cfg.ceiling)
+    verdict = sc.scatter_test(f, t, args.ceiling)
     report = {
         "field": args.field,
         "f": render_qpoly(f),
         "t": t,
         "scattered": verdict.scattered,
         "witness": render_witness(verdict.witness),
-        "seed": cfg.seed,
     }
-    rep = sc.linear_set_report_raw(f, t, cfg.ceiling)
+    rep = sc.linear_set_report_raw(f, t, args.ceiling)
     report["size"] = rep.size
     report["max_weight"] = rep.max_weight
     report["weight_spectrum"] = {str(w): c for w, c in sorted(rep.weight_spectrum.items())}
@@ -190,9 +172,9 @@ def _cmd_scatter_test(args, cfg: RunConfig):
     return (0 if verdict.scattered else 2), report, (header, rows)
 
 
-def _cmd_linear_set(args, cfg: RunConfig):
+def _cmd_linear_set(args):
     ctx, f, t = _scatter_common(args)
-    rep = sc.linear_set_report_raw(f, t, cfg.ceiling)
+    rep = sc.linear_set_report_raw(f, t, args.ceiling)
     report = {
         "field": args.field,
         "f": render_qpoly(f),
@@ -200,18 +182,17 @@ def _cmd_linear_set(args, cfg: RunConfig):
         "size": rep.size,
         "max_weight": rep.max_weight,
         "weight_spectrum": {str(w): c for w, c in sorted(rep.weight_spectrum.items())},
-        "seed": cfg.seed,
     }
     header = ["weight", "points"]
     rows = [[w, c] for w, c in sorted(rep.weight_spectrum.items())]
     return 0, report, (header, rows)
 
 
-def _cmd_scan(args, cfg: RunConfig):
+def _cmd_scan(args):
     ctx, f, t = _scatter_common(args)
     if args.m_max < 1:
         raise CLIError("--m-max must be at least 1")
-    entries = sc.scan_extensions(f, t, range(1, args.m_max + 1), cfg.ceiling)
+    entries = sc.scan_extensions(f, t, range(1, args.m_max + 1), args.ceiling)
     ents = []
     failed_at = None
     for entry in entries:
@@ -238,7 +219,6 @@ def _cmd_scan(args, cfg: RunConfig):
         "m_max": args.m_max,
         "entries": ents,
         "summary": summary,
-        "seed": cfg.seed,
     }
     header = ["m", "scattered", "witness_x", "witness_y", "skipped"]
     rows = []
@@ -248,10 +228,10 @@ def _cmd_scan(args, cfg: RunConfig):
     return 0, report, (header, rows)
 
 
-def _cmd_mrd_check(args, cfg: RunConfig):
+def _cmd_mrd_check(args):
     ctx, f, t = _scatter_common(args)
     spec = rk.CodeSpec(ctx, t, f)
-    rep = rk.min_distance(spec, cfg.ceiling)
+    rep = rk.min_distance(spec, args.ceiling)
     report = {
         "field": args.field,
         "f": render_qpoly(f),
@@ -262,85 +242,81 @@ def _cmd_mrd_check(args, cfg: RunConfig):
         "mrd": rep.is_mrd,
         "code_size": rep.code_size,
         "kernel_histogram": {str(k): v for k, v in sorted(rep.kernel_histogram.items())},
-        "seed": cfg.seed,
     }
     header = ["kernel_dim", "codewords"]
     rows = [[k, v] for k, v in sorted(rep.kernel_histogram.items())]
     return 0, report, (header, rows)
 
 
-def _get_curve(args, ctx: FieldCtx):
-    if getattr(args, "curve", None):
-        return parse_curve(ctx, args.curve)
-    if not args.f:
-        raise CLIError("provide --f/--t for a scatter curve or --curve for raw terms")
-    f = parse_qpoly(ctx, args.f)
-    return cv.build_scatter_curve(f, args.t)
-
-
-def _cmd_curve_build(args, cfg: RunConfig):
+def _get_curve(args):
+    """The curve of --curve, or else the scatter curve of --f/--t, with its field."""
+    if args.f and not args.curve:
+        ctx, f, t = _scatter_common(args)
+        return ctx, cv.build_scatter_curve(f, t)
     ctx = parse_field(args.field)
-    f = parse_qpoly(ctx, args.f)
-    c = cv.build_scatter_curve(f, args.t)
+    if not args.curve:
+        raise CLIError("provide --f/--t for a scatter curve or --curve for raw terms")
+    return ctx, parse_curve(ctx, args.curve)
+
+
+def _cmd_curve_build(args):
+    ctx, f, t = _scatter_common(args)
+    c = cv.build_scatter_curve(f, t)
     report = {
         "field": args.field,
         "f": render_qpoly(f),
-        "t": args.t,
+        "t": t,
         "degree": c.degree(),
         "terms": render_curve(c),
-        "seed": cfg.seed,
     }
     header = ["i", "j", "coeff"]
     rows = [[i, j, f'"{render_elt(ctx.elem(cc))}"'] for (i, j), cc in c.sorted_terms()]
     return 0, report, (header, rows)
 
 
-def _ext_field(ctx: FieldCtx, m: int) -> FieldCtx:
-    if m < 1:
+def _ext_field(ctx: FieldCtx, args) -> FieldCtx:
+    if args.ext < 1:
         raise CLIError("--ext must be at least 1")
-    return gf.make_field(ctx.p, ctx.e, ctx.d * m)
+    # before make_field, whose modulus search is slow for a large extension
+    gf.check_ceiling(ctx.order ** args.ext, args.ceiling)
+    return gf.make_field(ctx.p, ctx.e, ctx.d * args.ext)
 
 
-def _cmd_curve_points(args, cfg: RunConfig):
-    ctx = parse_field(args.field)
-    c = _get_curve(args, ctx)
-    ext = _ext_field(ctx, args.ext)
+def _cmd_curve_points(args):
+    ctx, c = _get_curve(args)
+    ext = _ext_field(ctx, args)
     pred = "ratio_not_in_Fq" if args.predicate == "ratio" else "all"
-    res = cv.count_affine(c, ext, pred, cfg.ceiling)
+    res = cv.count_affine(c, ext, pred, args.ceiling)
     report = {
         "field": args.field,
         "ext": args.ext,
         "predicate": pred,
         "count": res.count,
         "witness": render_witness(res.witness),
-        "seed": cfg.seed,
     }
     wx, wy = (report["witness"] or [None, None])
     header = ["ext", "predicate", "count", "witness_x", "witness_y"]
     return 0, report, (header, [[args.ext, pred, res.count, wx, wy]])
 
 
-def _cmd_curve_infinity(args, cfg: RunConfig):
-    ctx = parse_field(args.field)
-    c = _get_curve(args, ctx)
-    ext = _ext_field(ctx, args.ext)
-    pts = cv.points_at_infinity(c, ext, cfg.ceiling)
+def _cmd_curve_infinity(args):
+    ctx, c = _get_curve(args)
+    ext = _ext_field(ctx, args)
+    pts = cv.points_at_infinity(c, ext, args.ceiling)
     rendered = [":".join(render_elt(coord) for coord in p) for p in pts]
     report = {
         "field": args.field,
         "ext": args.ext,
         "count": len(pts),
         "points": rendered,
-        "seed": cfg.seed,
     }
     header = ["x", "y", "z"]
     rows = [[render_elt(p[0]), render_elt(p[1]), render_elt(p[2])] for p in pts]
     return 0, report, (header, rows)
 
 
-def _cmd_curve_multiplicity(args, cfg: RunConfig):
-    ctx = parse_field(args.field)
-    c = _get_curve(args, ctx)
+def _cmd_curve_multiplicity(args):
+    ctx, c = _get_curve(args)
     parts = args.point.split(";")
     if len(parts) != 2:
         raise CLIError("--point must be two element literals separated by ';'")
@@ -352,17 +328,14 @@ def _cmd_curve_multiplicity(args, cfg: RunConfig):
         "multiplicity": m,
         "tangent_cone": render_curve(cone) if not cone.is_zero() else "",
         "ordinary": cv.is_ordinary(cone) if m >= 1 else None,
-        "seed": cfg.seed,
     }
     header = ["multiplicity", "ordinary", "tangent_cone"]
     rows = [[m, report["ordinary"], f'"{report["tangent_cone"]}"']]
     return 0, report, (header, rows)
 
 
-def _cmd_curve_transform(args, cfg: RunConfig):
-    ctx = parse_field(args.field)
-    c = _get_curve(args, ctx)
-    out = c
+def _cmd_curve_transform(args):
+    ctx, out = _get_curve(args)
     for _ in range(args.repeat):
         out = cv.geometric_transform(out)
     report = {
@@ -370,16 +343,14 @@ def _cmd_curve_transform(args, cfg: RunConfig):
         "repeat": args.repeat,
         "degree": out.degree(),
         "terms": render_curve(out),
-        "seed": cfg.seed,
     }
     header = ["i", "j", "coeff"]
     rows = [[i, j, f'"{render_elt(ctx.elem(cc))}"'] for (i, j), cc in out.sorted_terms()]
     return 0, report, (header, rows)
 
 
-def _cmd_curve_branch(args, cfg: RunConfig):
-    ctx = parse_field(args.field)
-    c = _get_curve(args, ctx)
+def _cmd_curve_branch(args):
+    _, c = _get_curve(args)
     if args.terms < 1:
         raise CLIError("--terms must be at least 1")
     coeffs = cv.branch_series(c, args.terms)
@@ -387,16 +358,15 @@ def _cmd_curve_branch(args, cfg: RunConfig):
         "field": args.field,
         "terms": args.terms,
         "coefficients": [render_elt(x) for x in coeffs],
-        "seed": cfg.seed,
     }
     header = ["k", "coeff"]
     rows = [[k + 1, f'"{render_elt(x)}"'] for k, x in enumerate(coeffs)]
     return 0, report, (header, rows)
 
 
-def _cmd_verify(args, cfg: RunConfig):
+def _cmd_verify(args):
     try:
-        result = suites.run_suite(args.suite, seed=cfg.seed, ceiling=cfg.ceiling)
+        result = suites.run_suite(args.suite, seed=args.seed, ceiling=args.ceiling)
     except KeyError:
         raise CLIError(
             f"unknown suite {args.suite!r}; choose from: " + ", ".join(sorted(suites.SUITES))
@@ -407,7 +377,6 @@ def _cmd_verify(args, cfg: RunConfig):
         "checks": result.checks,
         "failures": result.failures,
         "details": {k: v for k, v in sorted(result.details.items())},
-        "seed": cfg.seed,
     }
     header = ["suite", "passed", "checks", "failures"]
     rows = [[result.name, result.passed, result.checks, len(result.failures)]]
@@ -420,97 +389,63 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="scatterpoly", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, field=True, poly=False, curve=False):
-        if field:
+    def command(name, fn, help, f=None):
+        """Subcommand `name` running `fn(args)`; f=True adds a required --f
+        with --t, f=False an optional one and --curve (the curve commands)."""
+        sp = sub.add_parser(name, help=help)
+        if name != "verify":
             sp.add_argument("--field", required=True, help="p^e^d or p^e^d:modulus")
-        if poly:
-            sp.add_argument("--f", required=curve is False, help="q-polynomial c_0;c_1;...")
+        if f is not None:
+            sp.add_argument("--f", required=f, help="q-polynomial c_0;c_1;...")
             sp.add_argument("--t", type=int, default=0, help="index t")
-        if curve:
+        if f is False:
             sp.add_argument("--curve", help="raw curve terms i,j:coeff;...")
         sp.add_argument("--ceiling", type=int, default=None, help="enumeration ceiling")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None, help="write the report to this path")
-
-    sp = sub.add_parser("field-info", help="field parameters and canonical modulus")
-    common(sp)
-    sp.set_defaults(fn=_cmd_field_info)
-
-    sp = sub.add_parser("scatter-test", help="scatteredness verdict with witness")
-    common(sp, poly=True)
-    sp.set_defaults(fn=_cmd_scatter_test)
-
-    sp = sub.add_parser("linear-set", help="weight spectrum of the linear set")
-    common(sp, poly=True)
-    sp.set_defaults(fn=_cmd_linear_set)
-
-    sp = sub.add_parser("scan", help="scatteredness over extension fields")
-    common(sp, poly=True)
-    sp.add_argument("--m-max", type=int, required=True, help="scan horizon")
-    sp.set_defaults(fn=_cmd_scan)
-
-    sp = sub.add_parser("mrd-check", help="rank-distance report for the pair code")
-    common(sp, poly=True)
-    sp.set_defaults(fn=_cmd_mrd_check)
-
-    sp = sub.add_parser("curve-build", help="build the scatter curve")
-    common(sp, poly=True)
-    sp.set_defaults(fn=_cmd_curve_build)
-
-    for name, fn, extra in (
-        ("curve-points", _cmd_curve_points, "points"),
-        ("curve-infinity", _cmd_curve_infinity, "infinity"),
-        ("curve-multiplicity", _cmd_curve_multiplicity, "mult"),
-        ("curve-transform", _cmd_curve_transform, "transform"),
-        ("curve-branch", _cmd_curve_branch, "branch"),
-    ):
-        sp = sub.add_parser(name)
-        sp.add_argument("--f", help="q-polynomial c_0;c_1;...")
-        sp.add_argument("--t", type=int, default=0)
-        common(sp, poly=False, curve=True)
-        if extra == "points":
-            sp.add_argument("--ext", type=int, default=1, help="extension multiplier")
-            sp.add_argument("--predicate", choices=("all", "ratio"), default="all")
-        elif extra == "infinity":
-            sp.add_argument("--ext", type=int, default=1, help="extension multiplier")
-        elif extra == "mult":
-            sp.add_argument("--point", required=True, help="x_lit;y_lit")
-        elif extra == "transform":
-            sp.add_argument("--repeat", type=int, default=1)
-        elif extra == "branch":
-            sp.add_argument("--terms", type=int, required=True)
         sp.set_defaults(fn=fn)
+        return sp
 
-    sp = sub.add_parser("verify", help="run a named verification campaign")
+    command("field-info", _cmd_field_info, "field parameters and canonical modulus")
+    command("scatter-test", _cmd_scatter_test, "scatteredness verdict with witness", f=True)
+    command("linear-set", _cmd_linear_set, "weight spectrum of the linear set", f=True)
+    sp = command("scan", _cmd_scan, "scatteredness over extension fields", f=True)
+    sp.add_argument("--m-max", type=int, required=True, help="scan horizon")
+    command("mrd-check", _cmd_mrd_check, "rank-distance report for the pair code", f=True)
+    command("curve-build", _cmd_curve_build, "build the scatter curve", f=True)
+
+    sp = command("curve-points", _cmd_curve_points, "affine points over an extension", f=False)
+    sp.add_argument("--ext", type=int, default=1, help="extension multiplier")
+    sp.add_argument("--predicate", choices=("all", "ratio"), default="all")
+    sp = command("curve-infinity", _cmd_curve_infinity, "points at infinity", f=False)
+    sp.add_argument("--ext", type=int, default=1, help="extension multiplier")
+    sp = command("curve-multiplicity", _cmd_curve_multiplicity, "multiplicity at a point", f=False)
+    sp.add_argument("--point", required=True, help="x_lit;y_lit")
+    sp = command("curve-transform", _cmd_curve_transform, "geometric transform", f=False)
+    sp.add_argument("--repeat", type=int, default=1)
+    sp = command("curve-branch", _cmd_curve_branch, "branch series", f=False)
+    sp.add_argument("--terms", type=int, required=True)
+
+    sp = command("verify", _cmd_verify, "run a named verification campaign")
     sp.add_argument("suite", help="suite name")
-    sp.add_argument("--ceiling", type=int, default=None)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=_cmd_verify)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
-    cfg = RunConfig(
-        field=getattr(args, "field", None),
-        fmt=args.format,
-        seed=args.seed,
-        ceiling=args.ceiling,
-        out=args.out,
-    )
     try:
-        code, report, csv_rows = args.fn(args, cfg)
-    except (CLIError, FieldError, ValueError, KeyError) as exc:
+        if args.ceiling is not None and args.ceiling <= 0:
+            raise CLIError("--ceiling must be positive")
+        code, report, csv_rows = args.fn(args)
+        report["seed"] = args.seed
+        _emit(report, csv_rows, args)
+    except (CLIError, FieldError, ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    _emit(report, csv_rows, cfg)
     return code
 
 

@@ -20,8 +20,6 @@ from . import gf
 from .gf import FFElt, FieldCtx, FieldError, check_ceiling
 from .linpoly import QPoly
 
-_VEC_SLICE_MIN = 64
-
 
 class InexactDivision(FieldError):
     pass
@@ -143,18 +141,16 @@ class UnivarPoly:
             acc = ctx.add_i(ctx.mul_i(acc, x), c)
         return acc
 
-    def roots(self, vectorized: bool = True) -> list[int]:
+    def roots(self) -> list[int]:
         """All roots in the coefficient field, ascending encodings."""
         ctx = self.ctx
         if self.is_zero():
             return list(range(ctx.order))
-        if ctx.order >= _VEC_SLICE_MIN and vectorized:
-            xs = np.arange(ctx.order, dtype=np.int64)
-            acc = np.zeros(ctx.order, dtype=np.int64)
-            for c in reversed(self.coeffs):
-                acc = ctx.add_vec(ctx.mul_vec(acc, xs), np.full(ctx.order, c, dtype=np.int64))
-            return np.nonzero(acc == 0)[0].tolist()
-        return [x for x in range(ctx.order) if self.evaluate(x) == 0]
+        xs = np.arange(ctx.order, dtype=np.int64)
+        acc = np.zeros(ctx.order, dtype=np.int64)
+        for c in reversed(self.coeffs):
+            acc = ctx.add_vec(ctx.mul_vec(acc, xs), np.full(ctx.order, c, dtype=np.int64))
+        return np.nonzero(acc == 0)[0].tolist()
 
     def __eq__(self, other):
         return (

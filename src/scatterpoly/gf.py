@@ -195,7 +195,6 @@ class FieldCtx:
                 raise FieldError("modulus is reducible")
         self.modulus = tuple(modulus)
         self._pp = [p ** i for i in range(self.N + 1)]
-        self._pp_np = np.array(self._pp[: self.N], dtype=np.int64)
         # encoding of the modulus root g (for N = 1 the power basis is just {1})
         self.gen_enc = p % self.order if self.N > 1 else (-modulus[0]) % p
         self._exp = None
@@ -291,10 +290,11 @@ class FieldCtx:
         # row c holds the digits of gen^block * g^c: multiplication by gen^block on digit rows
         mstep = self.digits_vec([self._mul_slow(step_enc, pp) for pp in self._pp[:N]])
         dig = self.digits_vec(small)
+        place = np.array(self._pp[:N], dtype=np.int64)
         exp = np.empty(q1, dtype=np.int64)
         for pos in range(0, q1, block):
             take = min(block, q1 - pos)
-            exp[pos : pos + take] = dig[:take] @ self._pp_np
+            exp[pos : pos + take] = dig[:take] @ place
             dig = dig @ mstep % p
         counts = np.bincount(exp, minlength=self.order)
         if counts.max() != 1 or counts[0] != 0:

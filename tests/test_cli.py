@@ -4,9 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import pytest
+
 from scatterpoly import cli
+
+GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
 
 
 def run(capsys, *argv):
@@ -202,3 +207,33 @@ def test_module_entry_point_runs_quietly():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0 and proc.stderr == ""
     assert json.loads(proc.stdout)["order"] == 8
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"]))
+def test_reports_match_golden_bytes(case, capsys):
+    # JSON and CSV reports, error lines and exit codes, pinned byte for byte
+    assert run(capsys, *case["argv"]) == (case["code"], case["stdout"], case["stderr"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("field-info", "--field", "2^1^3", "--ceiling", "0"),
+    ("verify", "remark32", "--ceiling", "-5"),
+    ("field-info", "--field", "2^1^3", "--out", "{missing}/r.json"),
+    ("curve-build", "--field", "2^1^4", "--f", "0;0;1", "--t", "-1"),
+    ("curve-points", "--field", "2^1^4", "--f", "0;0;1", "--t", "4"),
+    ("curve-points", "--field", "2^1^4", "--f", "0;0;1", "--ext", "40"),
+], ids=" ".join)
+def test_bad_input_is_one_error_line(argv, tmp_path, capsys):
+    argv = [a.replace("{missing}", str(tmp_path / "missing")) for a in argv]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    # the extension-field ceiling is checked before its modulus search
+    assert time.perf_counter() - start < 5
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_field_info_beyond_int64(capsys):
+    code, out, _ = run(capsys, "field-info", "--field", "2^1^64")
+    assert code == 0
+    assert json.loads(out)["order"] == 18446744073709551616
