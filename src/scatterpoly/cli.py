@@ -353,6 +353,8 @@ def _cmd_curve_branch(args):
     _, c = _get_curve(args)
     if args.terms < 1:
         raise CLIError("--terms must be at least 1")
+    # the expansion costs about terms^2 * deg_Y field operations
+    gf.check_ceiling(args.terms ** 2 * c.deg_y(), args.ceiling)
     coeffs = cv.branch_series(c, args.terms)
     report = {
         "field": args.field,

@@ -611,43 +611,26 @@ def branch_series(f_poly: BivarPoly, terms: int) -> list[FFElt]:
     if not unit:
         raise FieldError("dF/dY vanishes at the origin")
     inv_unit = ctx.inv_i(unit)
-    series = [0]  # series[k] = coefficient of X^k, series[0] = 0
+    # pows[j][m] = coefficient of X^m in y^j, each power carried from one k to
+    # the next; c_k is still 0 while its equation is formed, and [X^k] y^j for
+    # j >= 2 only reads c_1..c_(k-1)
+    pows = [[1]] + [[0] for _ in range(f_poly.deg_y())]
+    y = pows[1]
     for k in range(1, terms + 1):
-        val = _series_eval_coeff(f_poly, series, k)
-        series.append(ctx.mul_i(ctx.neg_i(val), inv_unit))
-    return [FFElt(ctx, c) for c in series[1:]]
-
-
-def _series_eval_coeff(f_poly: BivarPoly, series: list[int], k: int) -> int:
-    """Coefficient of X^k in F(X, y(X)) for the truncated series y."""
-    ctx = f_poly.ctx
-    cap = k + 1
-    ypows: dict[int, list[int]] = {0: [1] + [0] * (cap - 1)}
-    y1 = [0] * cap
-    for idx, c in enumerate(series[:cap]):
-        y1[idx] = c
-    ypows[1] = y1
-
-    def ypow(j):
-        if j not in ypows:
-            prev = ypow(j - 1)
-            out = [0] * cap
-            for a, ca in enumerate(prev):
-                if ca:
-                    for b, cb in enumerate(y1):
-                        if cb and a + b < cap:
-                            out[a + b] = ctx.add_i(out[a + b], ctx.mul_i(ca, cb))
-            ypows[j] = out
-        return ypows[j]
-
-    acc = 0
-    for (i, j), c in f_poly.terms.items():
-        if i > k:
-            continue
-        yj = ypow(j)
-        if k - i < cap and yj[k - i]:
-            acc = ctx.add_i(acc, ctx.mul_i(c, yj[k - i]))
-    return acc
+        for j in range(2, len(pows)):
+            acc = 0
+            for a, ca in enumerate(pows[j - 1][j - 1 : k], j - 1):
+                if ca and y[k - a]:
+                    acc = ctx.add_i(acc, ctx.mul_i(ca, y[k - a]))
+            pows[j].append(acc)
+        pows[0].append(0)
+        y.append(0)
+        val = 0
+        for (i, j), c in f_poly.terms.items():
+            if i <= k and pows[j][k - i]:
+                val = ctx.add_i(val, ctx.mul_i(c, pows[j][k - i]))
+        y[k] = ctx.mul_i(ctx.neg_i(val), inv_unit)
+    return [FFElt(ctx, c) for c in y[1:]]
 
 
 def resultant_in_y(a: BivarPoly, b: BivarPoly) -> UnivarPoly:

@@ -52,18 +52,14 @@ def is_prime(m: int) -> bool:
     return True
 
 
-def int_dtype(bound: int) -> np.dtype:
-    """Narrowest signed numpy integer dtype that holds every value in [-bound, bound]."""
-    for dt in (np.int8, np.int16, np.int32, np.int64):
-        if bound <= np.iinfo(dt).max:
-            return np.dtype(dt)
-    raise FieldError(f"no integer dtype holds {bound}")
-
-
 def check_ceiling(size: int, ceiling: int | None) -> None:
     limit = DEFAULT_ENUM_CEILING if ceiling is None else ceiling
     if size > limit:
-        raise CeilingExceeded(f"operation needs {size} elements, ceiling is {limit}")
+        try:
+            need = str(size)
+        except ValueError:  # more digits than the interpreter writes
+            need = f"at least 2^{size.bit_length() - 1}"
+        raise CeilingExceeded(f"operation needs {need} elements, ceiling is {limit}")
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +177,6 @@ class FieldCtx:
         self.p = p
         self.e = e
         self.d = d
-        self.n = d  # extension degree over F_q
         self.N = e * d
         self.q = p ** e
         self.order = p ** self.N

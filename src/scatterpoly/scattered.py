@@ -23,7 +23,7 @@ import numpy as np
 
 from . import gf
 from .gf import CeilingExceeded, FFElt, FieldCtx, FieldError, check_ceiling
-from .linpoly import NormalizedInstance, QPoly, evaluate, evaluate_vec, kernel_dim
+from .linpoly import NormalizedInstance, QPoly, evaluate_vec, kernel_dim
 
 REASON_KERNEL = "kernel dimension exceeds 1"
 REASON_GCD = "gcd(k, n) > 1 with k <= n/4"
@@ -132,37 +132,23 @@ def _batch_rank_modp(a: np.ndarray, p: int) -> np.ndarray:
     return rank
 
 
-def _kernel_setup(f: QPoly, t: int):
-    """Stacked F_p matrices of multiplication by the Frobenius images of the
-    power basis, plus the stacked digits of the basis f-images."""
-    ctx = f.ctx
-    n_p = ctx.N
-    dt = np.promote_types(np.int16, gf.int_dtype(n_p * (ctx.p - 1) ** 2 + ctx.p))  # matmul sums
-    basis = [ctx.pow_i(ctx.gen_enc, i) if n_p > 1 else 1 for i in range(n_p)]
-    mul_big = np.empty((n_p, n_p * n_p), dtype=dt)
-    fb_stack = np.empty(n_p * n_p, dtype=dt)
-    for i, bv in enumerate(basis):
-        hv = ctx.frob_i(bv, t)
-        for r in range(n_p):
-            mul_big[r, i * n_p : (i + 1) * n_p] = ctx.digits(ctx.mul_i(ctx._pp[r], hv))
-        fb_stack[i * n_p : (i + 1) * n_p] = ctx.digits(evaluate(f, FFElt(ctx, bv)).val)
-    return mul_big, fb_stack
-
-
 def _kernel_dim_chunks(f: QPoly, t: int, ceiling):
     """Kernel dimensions of c*X^(q^t) - f for c in ascending encoding order,
     one array per chunk of _CHUNK scalars."""
     ctx = f.ctx
     check_ceiling(ctx.order, ceiling)
     p, n_p = ctx.p, ctx.N
-    mul_big, fb_stack = _kernel_setup(f, t)
-    entry = gf.int_dtype((p - 1) ** 2)
+    b = (p ** np.arange(n_p, dtype=np.int64))[:, None]  # power basis g^i, encoded p^i
+    h, fb = ctx.frob_vec(b, t), evaluate_vec(f, b)
+    entry = np.min_scalar_type(-(p - 1) ** 2)
     for start in range(0, ctx.order, _CHUNK):
         cs = np.arange(start, min(start + _CHUNK, ctx.order), dtype=np.int64)
-        # digits of c*h_i are linear in the digits of c; all columns in one matmul
-        flat = (ctx.digits_vec(cs).astype(mul_big.dtype) @ mul_big - fb_stack) % p
-        mats = flat.reshape(len(cs), n_p, n_p).transpose(2, 1, 0)
-        yield (n_p - _batch_rank_modp(np.ascontiguousarray(mats, dtype=entry), p)) // ctx.e
+        # column i of the map for scalar c is c*h_i - f(b_i); its digits are the rows
+        enc = ctx.sub_vec(ctx.mul_vec(h, cs), fb)
+        mats = np.empty((n_p, n_p, len(cs)), dtype=entry)
+        for r in range(n_p):
+            np.divmod(enc, p, out=(enc, mats[r]))
+        yield (n_p - _batch_rank_modp(mats, p)) // ctx.e
 
 
 def kernel_dims_per_scalar(f: QPoly, t: int, ceiling=None) -> np.ndarray:

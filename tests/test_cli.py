@@ -222,15 +222,28 @@ def test_reports_match_golden_bytes(case, capsys):
     ("curve-build", "--field", "2^1^4", "--f", "0;0;1", "--t", "-1"),
     ("curve-points", "--field", "2^1^4", "--f", "0;0;1", "--t", "4"),
     ("curve-points", "--field", "2^1^4", "--f", "0;0;1", "--ext", "40"),
+    ("curve-branch", "--field", "3^1^1", "--curve", "0,1:1;2,0:2", "--terms", "100000"),
 ], ids=" ".join)
 def test_bad_input_is_one_error_line(argv, tmp_path, capsys):
     argv = [a.replace("{missing}", str(tmp_path / "missing")) for a in argv]
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
-    # the extension-field ceiling is checked before its modulus search
+    # the extension-field and branch-series ceilings are checked before the work
     assert time.perf_counter() - start < 5
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_scan_far_horizon_reports_skips(capsys):
+    # skipped sizes past the interpreter's int-to-str limit are written as a bound 2^k
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "scan", "--field", "2^1^64", "--f", "0;1", "--t", "0", "--m-max", "300")
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    entries = json.loads(out)["entries"]
+    assert len(entries) == 300 and all(e["skipped"] for e in entries)
+    assert entries[0]["skipped"] == "operation needs 18446744073709551616 elements, ceiling is 4194304"
+    assert entries[-1]["skipped"] == "operation needs at least 2^19200 elements, ceiling is 4194304"
 
 
 def test_field_info_beyond_int64(capsys):

@@ -318,6 +318,45 @@ def test_branch_series_examples():
         cv.branch_series(B(f5, {(0, 0): 1, (0, 1): 1}), 3)
 
 
+def _reference_branch_series(f_poly, terms):
+    """Branch series that rebuilds every power of the truncated series for
+    every k (cost deg_Y * terms^3), kept as the reference."""
+    ctx = f_poly.ctx
+    inv_unit = ctx.inv_i(f_poly.terms[(0, 1)])
+    series = [0]
+    for k in range(1, terms + 1):
+        cap = k + 1
+        y1 = series[:cap] + [0] * (cap - len(series))
+        ypows = {0: [1] + [0] * (cap - 1), 1: y1}
+        for j in range(2, f_poly.deg_y() + 1):
+            out = [0] * cap
+            for a, ca in enumerate(ypows[j - 1]):
+                for b, cb in enumerate(y1):
+                    if ca and cb and a + b < cap:
+                        out[a + b] = ctx.add_i(out[a + b], ctx.mul_i(ca, cb))
+            ypows[j] = out
+        val = 0
+        for (i, j), c in f_poly.terms.items():
+            if i <= k and ypows[j][k - i]:
+                val = ctx.add_i(val, ctx.mul_i(c, ypows[j][k - i]))
+        series.append(ctx.mul_i(ctx.neg_i(val), inv_unit))
+    return series[1:]
+
+
+def test_branch_series_matches_reference():
+    rng = random.Random(41)
+    fields = [gf.make_field(2, 1, 4), gf.make_field(3, 1, 1), gf.make_field(3, 2, 1),
+              gf.make_field(5, 1, 2), gf.make_field(13, 1, 1)]
+    for ctx in fields:
+        for _ in range(8):
+            terms = {(rng.randrange(6), rng.randrange(7)): rng.randrange(ctx.order) for _ in range(6)}
+            terms.pop((0, 0), None)
+            terms[(0, 1)] = rng.randrange(1, ctx.order)
+            fp = B(ctx, terms)
+            n_terms = rng.randrange(1, 25)
+            assert [c.val for c in cv.branch_series(fp, n_terms)] == _reference_branch_series(fp, n_terms)
+
+
 def test_branch_series_substitutes_to_zero():
     rng = random.Random(19)
     ctx = gf.make_field(3, 1, 2)

@@ -144,29 +144,34 @@ def test_linear_set_report_examples():
     assert rep.max_weight == 2 and rep.size == 5
 
 
-def test_linear_set_weights_match_kernel_dims():
+def test_linear_set_weights_match_kernel_dims(monkeypatch):
     # independent route: the weight of the point over c is the kernel
     # dimension of c*X^(q^t) - f, from the scalar route and the batched sweep
-    rng = random.Random(41)
-    for ctx in (
+    fields = (
         gf.make_field(2, 1, 4), gf.make_field(3, 1, 2), gf.make_field(2, 2, 2),
         gf.make_field(13, 1, 2), gf.make_field(17, 1, 2),
-    ):
-        for _ in range(6):
-            f = lp.QPoly.from_encs(ctx, [rng.randrange(ctx.order) for _ in range(ctx.d)])
-            if f.is_zero():
-                continue
-            t = rng.randrange(ctx.d)
-            rep = sc.linear_set_report_raw(f, t)
-            xqt = lp.QPoly.monomial(ctx, t)
-            dims = [lp.kernel_dim(xqt.scale(gf.FFElt(ctx, c)).sub(f)) for c in range(ctx.order)]
-            assert sc.kernel_dims_per_scalar(f, t).tolist() == dims
-            spectrum = {}
-            for w in dims:
-                if w:
-                    spectrum[w] = spectrum.get(w, 0) + 1
-            assert spectrum == rep.weight_spectrum
-            assert rep.size == sum(spectrum.values())
+        gf.make_field(3, 1, 3, modulus=(2, 2, 0, 1)), gf.make_field(2, 2, 3),
+    )
+    # 7-scalar chunks split every sweep into several batches
+    for chunk in (sc._CHUNK, 7):
+        monkeypatch.setattr(sc, "_CHUNK", chunk)
+        rng = random.Random(41)
+        for ctx in fields:
+            for _ in range(6):
+                f = lp.QPoly.from_encs(ctx, [rng.randrange(ctx.order) for _ in range(ctx.d)])
+                if f.is_zero():
+                    continue
+                t = rng.randrange(ctx.d)
+                rep = sc.linear_set_report_raw(f, t)
+                xqt = lp.QPoly.monomial(ctx, t)
+                dims = [lp.kernel_dim(xqt.scale(gf.FFElt(ctx, c)).sub(f)) for c in range(ctx.order)]
+                assert sc.kernel_dims_per_scalar(f, t).tolist() == dims
+                spectrum = {}
+                for w in dims:
+                    if w:
+                        spectrum[w] = spectrum.get(w, 0) + 1
+                assert spectrum == rep.weight_spectrum
+                assert rep.size == sum(spectrum.values())
 
 
 def test_linear_set_partition_identity():
