@@ -411,6 +411,15 @@ def infinity_chart(f_poly: BivarPoly) -> BivarPoly:
     return BivarPoly(f_poly.ctx, out)
 
 
+def _forms_by_degree(f_poly: BivarPoly) -> dict[int, dict[int, int]]:
+    """The homogeneous parts of F as k -> {j: c_(k-j, j)}, so that
+    F(x, u x) = sum_k x^k G_k(u) with G_k(u) = sum_j c_(k-j, j) u^j."""
+    forms: dict = {}
+    for (i, j), c in f_poly.terms.items():
+        forms.setdefault(i + j, {})[j] = c
+    return forms
+
+
 @dataclass(frozen=True)
 class ProjPointSet:
     points: tuple
@@ -437,8 +446,8 @@ def points_at_infinity(f_poly: BivarPoly, ext: FieldCtx | None = None, ceiling=N
     d = fe.degree()
     pts = []
     if d >= 1:
-        top = {(i, j): c for (i, j), c in fe.terms.items() if i + j == d}
-        u = UnivarPoly(ext, [dict(((j, c) for (i, j), c in top.items())).get(k, 0) for k in range(d + 1)])
+        top = _forms_by_degree(fe)[d]
+        u = UnivarPoly(ext, [top.get(k, 0) for k in range(d + 1)])
         if u.coeff(d) == 0:
             pts.append((ext.zero, ext.one, ext.zero))
         for r in u.roots():
@@ -466,82 +475,61 @@ def count_affine(
     ext = ext or f_poly.ctx
     check_ceiling(ext.order, ceiling)
     fe = f_poly.embed_into(ext)
-    order = ext.order
-    if fe.is_zero():
-        if predicate == "all":
-            return AffineCount(order * order, (ext.zero, ext.zero))
-        wit = (ext.one, _first_off_line(ext, 1))
-        return AffineCount((order - 1) * (order - ext.q), wit)
     if fe.degree() == 0:
         return AffineCount(0, None)
-    if fe.is_homogeneous():
-        return _count_affine_homogeneous(fe, predicate)
-    return _count_affine_grid(fe, predicate)
+    return _count_affine_chart(fe, predicate)
 
 
-def _first_off_line(ext: FieldCtx, x_enc: int) -> FFElt:
-    for y in range(ext.order):
-        if not ext.in_subfield_i(ext.mul_i(y, ext.inv_i(x_enc))):
-            return FFElt(ext, y)
-    raise FieldError("no element outside the subfield line")
-
-
-def _count_affine_homogeneous(fe: BivarPoly, predicate: str) -> AffineCount:
-    """Zeros of a homogeneous form lie on lines through the origin, so the
-    grid collapses to the roots of F(1, Y) plus the two axes."""
-    ext = fe.ctx
-    order = ext.order
-    d = fe.degree()
-    u = UnivarPoly(ext, [dict(((j, c) for (i, j), c in fe.terms.items())).get(k, 0) for k in range(d + 1)])
-    roots = u.roots()
-    y_axis_vanishes = u.coeff(d) == 0  # F(0, y) = c_(0,d) y^d
-    if predicate == "all":
-        count = 1  # the origin
-        if y_axis_vanishes:
-            count += order - 1
-        count += (order - 1) * len(roots)
-        return AffineCount(count, (ext.zero, ext.zero))
-    off = [r for r in roots if r and not ext.in_subfield_i(r)]
-    count = (order - 1) * len(off)
-    if not count:
-        return AffineCount(0, None)
-    return AffineCount(count, (ext.one, FFElt(ext, min(off))))
+def _eval_form(ext: FieldCtx, form: dict[int, int], us: np.ndarray) -> np.ndarray:
+    """sum_j c_j u^j over the encodings `us`, one pass per term."""
+    acc = np.zeros(us.shape, dtype=np.int64)
+    for j, c in form.items():
+        acc = ext.add_vec(acc, ext.mul_vec(np.int64(c), ext.pow_vec(us, j)))
+    return acc
 
 
 _GRID_BLOCK_CELLS = 1 << 20
 
 
-def _count_affine_grid(fe: BivarPoly, predicate: str) -> AffineCount:
-    """Block scan: the grid is swept in x-chunks, and every term contributes
-    to the whole (chunk, order) block with a single broadcast product."""
+def _count_affine_chart(fe: BivarPoly, predicate: str) -> AffineCount:
+    """Sweep of the chart (x, u = y/x): the row x = 0 is F(0, y) itself, and
+    for x nonzero F(x, u x) / x^kmin = sum_k x^(k - kmin) G_k(u), one mul and
+    one add pass per total degree above kmin.  Under the ratio predicate the
+    columns with u in F_q are dropped before the sweep."""
     ext = fe.ctx
     order = ext.order
-    xs = np.arange(order, dtype=np.int64)
-    ys = xs
-    # per term, the x-profile c * x^i and the y-profile y^j over the field
-    profiles = [
-        (ext.mul_vec(np.int64(c), ext.pow_vec(xs, i)), ext.pow_vec(ys, j))
-        for (i, j), c in fe.sorted_terms()
-    ]
-    ratio_mode = predicate == "ratio_not_in_Fq"
-    in_subfield = ext.frob_vec(ys, 1) == ys
-    chunk = max(1, _GRID_BLOCK_CELLS // order)
+    us = np.arange(order, dtype=np.int64)
     count = 0
     witness = None
-    for start in range(0, order, chunk):
-        xs_c = np.arange(start, min(start + chunk, order), dtype=np.int64)
-        acc = 0
-        for xprof, yprof in profiles:
-            acc = ext.add_vec(acc, ext.mul_vec(xprof[xs_c][:, None], yprof[None, :]))
+    if predicate == "all":
+        row = _eval_form(ext, {j: c for (i, j), c in fe.terms.items() if i == 0}, us) == 0
+        count = int(row.sum())
+        if count:
+            witness = (ext.zero, FFElt(ext, int(np.argmax(row))))
+    else:
+        us = us[ext.frob_vec(us, 1) != us]
+    forms = _forms_by_degree(fe) or {0: {}}  # the zero polynomial is one zero form
+    degs = sorted(forms)
+    gs = [_eval_form(ext, forms[k], us) for k in degs]
+    if len(degs) == 1:
+        hits = us[gs[0] == 0]
+        count += (order - 1) * len(hits)
+        if witness is None and len(hits):
+            witness = (ext.one, FFElt(ext, int(hits.min())))
+        return AffineCount(count, witness)
+    chunk = max(1, _GRID_BLOCK_CELLS // max(1, len(us)))
+    for start in range(1, order, chunk):
+        xs = np.arange(start, min(start + chunk, order), dtype=np.int64)[:, None]
+        acc = gs[0]
+        for k, g in zip(degs[1:], gs[1:]):
+            acc = ext.add_vec(acc, ext.mul_vec(ext.pow_vec(xs, k - degs[0]), g))
         mask = acc == 0
-        if ratio_mode:
-            ratios = ext.mul_vec(ext.inv_vec(np.where(xs_c == 0, 1, xs_c))[:, None], ys[None, :])
-            mask &= ~in_subfield[ratios]
-            mask &= (xs_c != 0)[:, None]
         c = int(mask.sum())
         if c and witness is None:
-            flat = int(np.argmax(mask))
-            witness = (FFElt(ext, int(xs_c[flat // order])), FFElt(ext, flat % order))
+            r = int(np.argmax(mask.any(axis=1)))
+            x = int(xs[r, 0])
+            y = int(ext.mul_vec(np.int64(x), us[mask[r]]).min())
+            witness = (FFElt(ext, x), FFElt(ext, y))
         count += c
     return AffineCount(count, witness)
 
@@ -704,10 +692,9 @@ def line_restriction(f: QPoly, t: int, u, curve: BivarPoly | None = None) -> Uni
     ctx = f_poly.ctx
     u = _enc(ctx, u)
     out: dict[int, int] = {}
-    for (i, j), c in f_poly.terms.items():
-        v = ctx.mul_i(c, ctx.pow_i(u, j))
-        k = i + j
-        out[k] = ctx.add_i(out.get(k, 0), v)
+    for k, form in _forms_by_degree(f_poly).items():
+        for j, c in form.items():
+            out[k] = ctx.add_i(out.get(k, 0), ctx.mul_i(c, ctx.pow_i(u, j)))
     poly = UnivarPoly(ctx, [out.get(k, 0) for k in range(max(out, default=0) + 1)])
     if poly.is_zero():
         raise FieldError("the line Y = uX lies on the curve")

@@ -218,10 +218,17 @@ def scan_extensions(f: QPoly, t: int, m_list, ceiling=None) -> list[ScanEntry]:
     """
     ctx = f.ctx
     entries = []
+    # |F_{q^(nm)}| = step^m, carried from one m to the next so that an
+    # ascending horizon costs one big-by-small product per m
+    step = ctx.p ** (ctx.e * ctx.d)
+    last_m, size = 0, 1
     for m in m_list:
         if m < 1:
             raise FieldError("extension multipliers must be >= 1")
-        size = ctx.p ** (ctx.e * ctx.d * m)
+        if m < last_m:
+            last_m, size = 0, 1
+        size *= step ** (m - last_m)
+        last_m = m
         try:
             check_ceiling(size, ceiling)
             ext = gf.make_field(ctx.p, ctx.e, ctx.d * m)

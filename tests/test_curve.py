@@ -5,6 +5,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scatterpoly import curve as cv, gf, linpoly as lp, scattered as sc
 
@@ -175,6 +176,49 @@ def test_homogeneous_fast_path_matches_grid():
                     first = (x, y)
     assert res.count == cnt and cnt > 0
     assert (res.witness[0].val, res.witness[1].val) == first
+
+
+# p up to 17, e > 1 and an explicit modulus, each of order at most 49
+CHART_FIELDS = (
+    (2, 1, 2), (2, 1, 5), (3, 1, 2), (3, 1, 3), (5, 1, 2), (7, 1, 2), (11, 1, 1), (13, 1, 1),
+    (17, 1, 1), (2, 2, 2), (3, 2, 1), (3, 1, 3, (2, 2, 0, 1)),
+)
+
+
+@st.composite
+def chart_cases(draw):
+    """A field, a polynomial with up to three total degrees (none: the zero
+    polynomial, one: a form or a constant) and a block size in cells."""
+    p, e, d, *modulus = draw(st.sampled_from(CHART_FIELDS))
+    ctx = gf.make_field(p, e, d, modulus=modulus[0] if modulus else None)
+    terms = {}
+    for k in draw(st.sets(st.integers(0, 6), max_size=3)):
+        for i in draw(st.sets(st.integers(0, k), min_size=1)):
+            terms[(i, k - i)] = draw(st.integers(1, ctx.order - 1))
+    return ctx, B(ctx, terms), draw(st.sampled_from((1, 7, 64, 1 << 20)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(case=chart_cases(), pred=st.sampled_from(("all", "ratio_not_in_Fq")))
+def test_count_affine_matches_brute_force(case, pred):
+    ctx, fp, block_cells = case
+    cnt, first = 0, None
+    for x in range(ctx.order):
+        for y in range(ctx.order):
+            if fp.evaluate(x, y).val:
+                continue
+            if pred == "ratio_not_in_Fq":
+                if x == 0 or ctx.in_subfield_i(ctx.mul_i(y, ctx.inv_i(x))):
+                    continue
+            cnt += 1
+            if first is None:
+                first = (x, y)
+    # hypothesis rejects function-scoped fixtures, so the patch is local
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cv, "_GRID_BLOCK_CELLS", block_cells)
+        res = cv.count_affine(fp, ctx, pred)
+    assert res.count == cnt
+    assert (None if res.witness is None else (res.witness[0].val, res.witness[1].val)) == first
 
 
 def test_multiplicity_examples():

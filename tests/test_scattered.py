@@ -208,6 +208,20 @@ def test_scan_respects_ceiling_per_entry():
     assert entries[2].skipped
 
 
+def test_scan_skip_messages_match_formed_sizes():
+    # the decimal size gives way to "at least 2^k" past 4300 digits: 16^3572
+    # and 81^2254 are the first such sizes; a descending m restarts the size
+    for ctx, switch in ((gf.make_field(2, 1, 4), 3572), (gf.make_field(3, 2, 2), 2254)):
+        ms = [1, switch - 1, switch, switch + 1, 30000, 2]
+        entries = sc.scan_extensions(lp.QPoly.monomial(ctx, 1), 0, ms, ceiling=1)
+        for m, entry in zip(ms, entries):
+            with pytest.raises(gf.CeilingExceeded) as exc:
+                gf.check_ceiling(ctx.order ** m, 1)
+            assert (entry.m, entry.verdict, entry.skipped) == (m, None, str(exc.value))
+        assert "at least" not in entries[1].skipped
+        assert "at least 2^" in entries[2].skipped
+
+
 def test_component_inequality_examples():
     assert sc.irreducible_component_inequality(2, 1, 2, 2) is False  # 6 vs 8/9
     assert sc.irreducible_component_inequality(7, 1, 2, 2) is True  # 336 vs 392
