@@ -4,9 +4,16 @@ The pair is scattered when the map x -> f(x)/x^(q^t) on nonzero field
 elements has every fiber of size exactly q - 1, equivalently when every map
 c*X^(q^t) - f(X) has kernel of F_q-dimension at most 1.  Both routes are
 implemented: a fiber-bucketing scan (primary, produces witnesses) and a
-kernel-dimension sweep over all scalars c (batched Gaussian elimination over
+kernel-dimension sweep over the scalars c (batched Gaussian elimination over
 F_p, the package's one bulk kernel engine).  They must agree; small instances
 are cross-checked inline.
+
+The sweep ranks one scalar per orbit.  With mu a nonzero coefficient of f and
+r the least divisor of N = e*d for which tau(x) = x^(p^r) fixes every f_i/mu,
+the kernel dimension is constant on each orbit {mu*tau^k(c/mu)}; only the
+least encoding of each orbit is ranked, in ascending order, and the other
+scalars of the orbit copy its dimension.  r = N leaves every scalar alone
+(the full sweep); a monomial has r = 1 and about order/N orbits.
 
 Also here: linear-set weight spectra, extension-field scans, the decision
 predicates for guaranteed non-scatteredness, the pair-product image, and the
@@ -132,37 +139,110 @@ def _batch_rank_modp(a: np.ndarray, p: int) -> np.ndarray:
     return rank
 
 
+def _frobenius_symmetry(f: QPoly) -> tuple[int, int]:
+    """(mu, r): mu is the first nonzero coefficient of f and r the least
+    divisor of N for which tau(x) = x^(p^r) fixes every f_i/mu (mu = 1, r = 1
+    for the zero map).
+
+    ker(c*X^(q^t) - f) = ker((c/mu)*X^(q^t) - f/mu), and tau maps it onto the
+    kernel for tau(c/mu), so the kernel dimension is constant on each orbit
+    {mu*tau^k(c/mu)}.  Any other nonzero coefficient gives the same r and the
+    same orbits."""
+    ctx = f.ctx
+    mu = next((v for v in f.encs if v), 1)
+    imu = ctx.inv_i(mu)
+    gs = [ctx.mul_i(v, imu) for v in f.encs if v]
+    r = next(r for r in range(1, ctx.N + 1)
+             if ctx.N % r == 0 and all(ctx.pow_i(g, ctx.p ** r) == g for g in gs))
+    return mu, r
+
+
+def _orbit_logs(ctx: FieldCtx, mu: int, cs: np.ndarray) -> tuple[int, np.ndarray]:
+    """log mu, and log(c/mu) mod (order - 1) for each scalar c of cs (the
+    entry of c = 0 means nothing).  This and _conjugate read the field's log
+    layout directly: int32 `_log`, and `_exp` holding the powers twice over,
+    so a sum of two reduced logs indexes it."""
+    ctx._ensure_tables()
+    lm = int(ctx._log[mu])
+    return lm, (ctx._log[cs].astype(np.int64) - lm) % (ctx.order - 1)
+
+
+def _conjugate(ctx: FieldCtx, lm: int, rel: np.ndarray, r: int, k: int) -> np.ndarray:
+    """mu*tau^k(c/mu) for tau(x) = x^(p^r), from the orbit logs of the nonzero
+    scalars c: one log-domain pass, log mu + p^(r*k)*(log c - log mu)
+    mod (order - 1), then one gather from the antilogs."""
+    q1 = ctx.order - 1
+    return ctx._exp[rel * pow(ctx.p, r * k, q1) % q1 + lm]
+
+
+def _orbit_leaders(ctx: FieldCtx, mu: int, r: int):
+    """The scalars that are the least encoding of their orbit {mu*tau^k(c/mu)},
+    ascending, as one array per _CHUNK candidate scalars.  Pass k drops the
+    candidates above their k-th conjugate; 0, the least encoding, stays."""
+    for start in range(0, ctx.order, _CHUNK):
+        cs = np.arange(start, min(start + _CHUNK, ctx.order), dtype=np.int64)
+        lm, rel = _orbit_logs(ctx, mu, cs)
+        for k in range(1, ctx.N // r):
+            keep = cs <= _conjugate(ctx, lm, rel, r, k)
+            cs, rel = cs[keep], rel[keep]
+        yield cs
+
+
 def _kernel_dim_chunks(f: QPoly, t: int, ceiling):
-    """Kernel dimensions of c*X^(q^t) - f for c in ascending encoding order,
-    one array per chunk of _CHUNK scalars."""
+    """Kernel dimensions of c*X^(q^t) - f for the orbit leaders c (see
+    _frobenius_symmetry), ascending, as (leaders, dims) per batch of _CHUNK
+    leaders."""
     ctx = f.ctx
     check_ceiling(ctx.order, ceiling)
     p, n_p = ctx.p, ctx.N
     b = (p ** np.arange(n_p, dtype=np.int64))[:, None]  # power basis g^i, encoded p^i
     h, fb = ctx.frob_vec(b, t), evaluate_vec(f, b)
     entry = np.min_scalar_type(-(p - 1) ** 2)
-    for start in range(0, ctx.order, _CHUNK):
-        cs = np.arange(start, min(start + _CHUNK, ctx.order), dtype=np.int64)
+
+    def ranked(cs):
         # column i of the map for scalar c is c*h_i - f(b_i); its digits are the rows
         enc = ctx.sub_vec(ctx.mul_vec(h, cs), fb)
         mats = np.empty((n_p, n_p, len(cs)), dtype=entry)
         for r in range(n_p):
             np.divmod(enc, p, out=(enc, mats[r]))
-        yield (n_p - _batch_rank_modp(mats, p)) // ctx.e
+        return cs, (n_p - _batch_rank_modp(mats, p)) // ctx.e
+
+    pending = np.empty(0, dtype=np.int64)
+    for leaders in _orbit_leaders(ctx, *_frobenius_symmetry(f)):
+        pending = np.concatenate([pending, leaders])
+        while len(pending) >= _CHUNK:
+            yield ranked(pending[:_CHUNK])
+            pending = pending[_CHUNK:]
+    if len(pending):
+        yield ranked(pending)
 
 
 def kernel_dims_per_scalar(f: QPoly, t: int, ceiling=None) -> np.ndarray:
     """F_q-dimension of ker(c*X^(q^t) - f) for every scalar c, indexed by
-    encoding.  Works on the F_p matrices of the maps; dim_Fp = e * dim_Fq."""
-    return np.concatenate(list(_kernel_dim_chunks(f, t, ceiling)))
+    encoding.  Works on the F_p matrices of the maps; dim_Fp = e * dim_Fq.
+    Only orbit leaders are ranked; every other scalar of an orbit copies the
+    dimension of its leader."""
+    ctx = f.ctx
+    check_ceiling(ctx.order, ceiling)
+    mu, r = _frobenius_symmetry(f)
+    dims = np.empty(ctx.order, dtype=np.int64)
+    for cs, ds in _kernel_dim_chunks(f, t, ceiling):
+        dims[cs] = ds
+        live = cs > 0  # 0 is an orbit of its own
+        lm, rel = _orbit_logs(ctx, mu, cs[live])
+        ds = ds[live]
+        for k in range(1, ctx.N // r):
+            dims[_conjugate(ctx, lm, rel, r, k)] = ds
+    return dims
 
 
 def scatter_test_kernel(f: QPoly, t: int, ceiling=None) -> bool:
     """Kernel-dimension scatteredness test: no scalar c may give a kernel of
-    dimension 2 or more.  Stops at the first chunk holding an offending scalar."""
+    dimension 2 or more.  Ranks orbit leaders only, and stops at the first
+    batch holding an offending one."""
     if f.is_zero():
         raise FieldError("scatteredness is undefined for the zero map")
-    return not any((dims > 1).any() for dims in _kernel_dim_chunks(f, t, ceiling))
+    return not any((dims > 1).any() for _, dims in _kernel_dim_chunks(f, t, ceiling))
 
 
 def is_scattered(inst: NormalizedInstance, ceiling=None) -> ScatterVerdict:

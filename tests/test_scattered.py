@@ -4,6 +4,7 @@ predicates, each cross-checked against brute-force oracles."""
 import math
 import random
 
+import numpy as np
 import pytest
 
 from scatterpoly import gf, linpoly as lp, scattered as sc
@@ -172,6 +173,78 @@ def test_linear_set_weights_match_kernel_dims(monkeypatch):
                         spectrum[w] = spectrum.get(w, 0) + 1
                 assert spectrum == rep.weight_spectrum
                 assert rep.size == sum(spectrum.values())
+
+
+# p in {2, 3, 5, 7, 13}, e in {1, 2, 3}, two explicit moduli, and F_q itself (d = 1)
+ORBIT_FIELDS = (
+    (2, 1, 1), (2, 2, 1), (3, 3, 1), (5, 2, 1), (2, 1, 4), (2, 1, 6), (2, 2, 3), (2, 3, 2),
+    (2, 1, 5, (1, 0, 1, 0, 0, 1)), (3, 1, 3, (2, 2, 0, 1)), (3, 1, 4), (3, 2, 2),
+    (5, 1, 3), (7, 1, 2), (7, 1, 3), (13, 1, 2),
+)
+
+
+def orbit_instances(ctx, rng):
+    """Coefficient lists of three kinds, two of each, with an s that the
+    symmetry r of each must divide: random f (s = N), mu*g with g over a
+    proper subfield F_(p^s) (s = N when there is none), and mu*X^(q^j) (s = 1)."""
+    for _ in range(2):
+        encs = [rng.randrange(ctx.order) for _ in range(ctx.d)]
+        encs[-1] = encs[-1] or 1
+        yield encs, ctx.N
+    for _ in range(2):
+        s = rng.choice([s for s in range(1, ctx.N) if ctx.N % s == 0] or [ctx.N])
+        sub = ctx.subfield_of_size_elems(ctx.p ** s)
+        mu = rng.randrange(1, ctx.order)
+        encs = [ctx.mul_i(mu, rng.choice(sub)) for _ in range(ctx.d)]
+        encs[rng.randrange(ctx.d)] = mu
+        yield encs, s
+    for _ in range(2):
+        yield [0] * rng.randrange(ctx.d) + [rng.randrange(1, ctx.order)], 1
+
+
+def test_orbit_reduced_sweep_matches_scalar_route(monkeypatch):
+    # the sweep ranks orbit leaders only; every scalar must still get the
+    # dimension the scalar route gives it
+    rng = random.Random(47)
+    cases = []
+    for p, e, d, *modulus in ORBIT_FIELDS:
+        ctx = gf.make_field(p, e, d, modulus=modulus[0] if modulus else None)
+        for encs, s in orbit_instances(ctx, rng):
+            f = lp.QPoly.from_encs(ctx, encs)
+            t = rng.randrange(d)
+            assert s % sc._frobenius_symmetry(f)[1] == 0
+            xqt = lp.QPoly.monomial(ctx, t)
+            dims = [lp.kernel_dim(xqt.scale(gf.FFElt(ctx, c)).sub(f)) for c in range(ctx.order)]
+            cases.append((f, t, dims, sc.scatter_test(f, t).scattered))
+    # 7-scalar batches make the leaders of one candidate chunk straddle batches
+    for chunk in (sc._CHUNK, 7):
+        monkeypatch.setattr(sc, "_CHUNK", chunk)
+        for f, t, dims, scattered in cases:
+            assert sc.kernel_dims_per_scalar(f, t).tolist() == dims
+            assert sc.scatter_test_kernel(f, t) == scattered
+
+
+def test_frobenius_symmetry():
+    # X^q over F_((2^2)^3): r = 1, so an orbit is a whole x -> x^2 orbit of
+    # N = 6 scalars, not d = 3
+    ctx = gf.make_field(2, 2, 3)
+    assert sc._frobenius_symmetry(lp.QPoly.monomial(ctx, 1)) == (1, 1)
+    g = ctx.mult_generator_enc
+    lm, rel = sc._orbit_logs(ctx, 1, np.array([g]))
+    orbit = {g} | {int(sc._conjugate(ctx, lm, rel, 1, k)[0]) for k in range(1, ctx.N)}
+    assert orbit == {ctx.pow_i(g, 2 ** k) for k in range(ctx.N)} and len(orbit) == 6
+    # b*X + X^(q^2) with b the generator of F_(3^4) inside F_(3^12): mu = b, r = 4
+    small, ext = gf.make_field(3, 1, 4), gf.make_field(3, 1, 12)
+    b = gf.embed(small, ext).map_enc(small.gen_enc)
+    assert sc._frobenius_symmetry(lp.QPoly.from_encs(ext, [b, 0, 1])) == (b, 4)
+    # random full support: no symmetry
+    rng = random.Random(53)
+    for ctx in (gf.make_field(2, 1, 6), gf.make_field(3, 2, 2), gf.make_field(5, 1, 3)):
+        f = lp.QPoly.from_encs(ctx, [rng.randrange(1, ctx.order) for _ in range(ctx.d)])
+        assert sc._frobenius_symmetry(f)[1] == ctx.N
+    # the leaders of F_(2^6) under x -> x^2 are the 14 binary necklaces of length 6
+    f64 = gf.make_field(2, 1, 6)
+    assert sum(len(cs) for cs in sc._orbit_leaders(f64, 1, 1)) == 14
 
 
 def test_linear_set_partition_identity():
