@@ -336,6 +336,10 @@ def _cmd_curve_multiplicity(args):
 
 def _cmd_curve_transform(args):
     ctx, out = _get_curve(args)
+    if args.repeat < 1:
+        raise CLIError("--repeat must be at least 1")
+    # each transform touches every term once
+    gf.check_ceiling(args.repeat * len(out.terms), args.ceiling)
     for _ in range(args.repeat):
         out = cv.geometric_transform(out)
     report = {

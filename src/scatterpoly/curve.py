@@ -146,11 +146,8 @@ class UnivarPoly:
         ctx = self.ctx
         if self.is_zero():
             return list(range(ctx.order))
-        xs = np.arange(ctx.order, dtype=np.int64)
-        acc = np.zeros(ctx.order, dtype=np.int64)
-        for c in reversed(self.coeffs):
-            acc = ctx.add_vec(ctx.mul_vec(acc, xs), np.full(ctx.order, c, dtype=np.int64))
-        return np.nonzero(acc == 0)[0].tolist()
+        vals = ctx.power_sum([(k, c) for k, c in enumerate(self.coeffs) if c], np.arange(ctx.order))
+        return np.nonzero(vals == 0)[0].tolist()
 
     def __eq__(self, other):
         return (
@@ -480,29 +477,21 @@ def count_affine(
     return _count_affine_chart(fe, predicate)
 
 
-def _eval_form(ext: FieldCtx, form: dict[int, int], us: np.ndarray) -> np.ndarray:
-    """sum_j c_j u^j over the encodings `us`, one pass per term."""
-    acc = np.zeros(us.shape, dtype=np.int64)
-    for j, c in form.items():
-        acc = ext.add_vec(acc, ext.mul_vec(np.int64(c), ext.pow_vec(us, j)))
-    return acc
-
-
 _GRID_BLOCK_CELLS = 1 << 20
 
 
 def _count_affine_chart(fe: BivarPoly, predicate: str) -> AffineCount:
     """Sweep of the chart (x, u = y/x): the row x = 0 is F(0, y) itself, and
-    for x nonzero F(x, u x) / x^kmin = sum_k x^(k - kmin) G_k(u), one mul and
-    one add pass per total degree above kmin.  Under the ratio predicate the
-    columns with u in F_q are dropped before the sweep."""
+    for x nonzero F(x, u x) / x^kmin = sum_k x^(k - kmin) G_k(u), one power
+    sum over the x column with the rows G_k(u) as coefficients.  Under the
+    ratio predicate the columns with u in F_q are dropped before the sweep."""
     ext = fe.ctx
     order = ext.order
     us = np.arange(order, dtype=np.int64)
     count = 0
     witness = None
     if predicate == "all":
-        row = _eval_form(ext, {j: c for (i, j), c in fe.terms.items() if i == 0}, us) == 0
+        row = ext.power_sum([(j, c) for (i, j), c in fe.terms.items() if i == 0], us) == 0
         count = int(row.sum())
         if count:
             witness = (ext.zero, FFElt(ext, int(np.argmax(row))))
@@ -510,7 +499,7 @@ def _count_affine_chart(fe: BivarPoly, predicate: str) -> AffineCount:
         us = us[ext.frob_vec(us, 1) != us]
     forms = _forms_by_degree(fe) or {0: {}}  # the zero polynomial is one zero form
     degs = sorted(forms)
-    gs = [_eval_form(ext, forms[k], us) for k in degs]
+    gs = [ext.power_sum(forms[k].items(), us) for k in degs]
     if len(degs) == 1:
         hits = us[gs[0] == 0]
         count += (order - 1) * len(hits)
@@ -520,10 +509,7 @@ def _count_affine_chart(fe: BivarPoly, predicate: str) -> AffineCount:
     chunk = max(1, _GRID_BLOCK_CELLS // max(1, len(us)))
     for start in range(1, order, chunk):
         xs = np.arange(start, min(start + chunk, order), dtype=np.int64)[:, None]
-        acc = gs[0]
-        for k, g in zip(degs[1:], gs[1:]):
-            acc = ext.add_vec(acc, ext.mul_vec(ext.pow_vec(xs, k - degs[0]), g))
-        mask = acc == 0
+        mask = ext.power_sum([(k - degs[0], g) for k, g in zip(degs, gs)], xs) == 0
         c = int(mask.sum())
         if c and witness is None:
             r = int(np.argmax(mask.any(axis=1)))

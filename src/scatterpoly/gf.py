@@ -195,7 +195,6 @@ class FieldCtx:
         self._exp = None
         self._log = None
         self._zech = None
-        self._qpow_mod = {}
         self._subfield_gen_enc = None
         self._subfield_elems = None
         self._coord_solver = None
@@ -308,14 +307,6 @@ class FieldCtx:
         self._ensure_tables()
         return self._mulgen_enc
 
-    def _qpow(self, s: int) -> int:
-        """q^s mod (order - 1), cached."""
-        r = self._qpow_mod.get(s)
-        if r is None:
-            r = pow(self.q, s, self.order - 1) if self.order > 2 else 0
-            self._qpow_mod[s] = r
-        return r
-
     # -- scalar arithmetic on encodings --------------------------------------
 
     def add_i(self, u: int, v: int) -> int:
@@ -361,10 +352,7 @@ class FieldCtx:
 
     def frob_i(self, u: int, s: int) -> int:
         """u^(q^s)."""
-        if u == 0 or s == 0:
-            return u
-        self._ensure_tables()
-        return int(self._exp[(int(self._log[u]) * self._qpow(s)) % (self.order - 1)])
+        return self.pow_i(u, self.q ** s)
 
     def in_subfield_i(self, u: int) -> bool:
         return self.frob_i(u, 1) == u
@@ -420,9 +408,30 @@ class FieldCtx:
         return self._exp[np.where(lu < 0, -1, np.multiply(lu, m % q1, dtype=np.int64) % q1)]
 
     def frob_vec(self, u, s: int):
-        if s == 0:
-            return np.asarray(u, dtype=np.int64).copy()
-        return self.pow_vec(u, self._qpow(s))
+        # q^s unreduced: reduced mod order - 1 it is 0 over F_2, read by pow_vec as x^0
+        return self.pow_vec(u, self.q ** s)
+
+    def power_sum(self, terms, xs):
+        """sum c * x^m over the (m, c) pairs of `terms`, as a new int64 array.
+
+        m is an unreduced exponent: m = 0 is the constant term c (0^0 = 1),
+        while any m > 0 gives 0 at x = 0, a multiple of order - 1 included.
+        c is an encoding or an array of encodings broadcasting against xs.
+        Each term is one pow_vec and one mul_vec (none when c == 1)."""
+        xs = np.asarray(xs, dtype=np.int64)
+        acc = None
+        for m, c in terms:
+            if m == 0:
+                term = np.array(c, dtype=np.int64)
+            else:
+                term = self.pow_vec(xs, m)
+                if not (isinstance(c, (int, np.integer)) and c == 1):
+                    term = self.mul_vec(term, c)
+            acc = term if acc is None else self.add_vec(acc, term)
+        if acc is None:
+            return np.zeros(xs.shape, dtype=np.int64)
+        shape = np.broadcast_shapes(xs.shape, acc.shape)  # constant terms alone miss the shape of xs
+        return acc if acc.shape == shape else np.broadcast_to(acc, shape).copy()
 
     # -- elements -------------------------------------------------------------
 
@@ -475,17 +484,12 @@ class FieldCtx:
         deg = len(poly) - 1
         if self.N % deg:
             raise FieldError("no root: degree does not divide the field degree")
-        cands = self.subfield_of_size_elems(self.p ** deg)
-        roots = []
-        for c in cands:
-            acc = 0
-            for co in reversed(poly):
-                acc = self.add_i(self.mul_i(acc, c), co % self.p)
-            if acc == 0:
-                roots.append(c)
-        if not roots:
+        cands = np.array(self.subfield_of_size_elems(self.p ** deg), dtype=np.int64)
+        vals = self.power_sum([(k, co % self.p) for k, co in enumerate(poly) if co % self.p], cands)
+        roots = cands[vals == 0]
+        if not len(roots):
             raise FieldError("no root found")
-        return min(roots)
+        return int(roots.min())
 
     def subfield_of_size_elems(self, size: int):
         """All encodings of the subfield with `size` elements, ascending."""

@@ -119,12 +119,7 @@ def evaluate(f: QPoly, x: FFElt) -> FFElt:
 
 def evaluate_vec(f: QPoly, xs: np.ndarray) -> np.ndarray:
     """Vectorized evaluation over an array of encodings."""
-    ctx = f.ctx
-    acc = np.zeros(np.asarray(xs).shape, dtype=np.int64)
-    for j, c in enumerate(f.coeffs):
-        if c.val:
-            acc = ctx.add_vec(acc, ctx.mul_vec(np.int64(c.val), ctx.frob_vec(xs, j)))
-    return acc
+    return f.ctx.power_sum([(f.ctx.q ** j, c.val) for j, c in enumerate(f.coeffs) if c.val], xs)
 
 
 class NormalizedInstance:

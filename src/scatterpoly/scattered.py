@@ -61,13 +61,15 @@ class ScanEntry:
 
 
 def _ratio_counts(f: QPoly, t: int, ceiling=None):
-    """Ratios f(x)/x^(q^t) for every nonzero x, plus their fiber sizes."""
+    """Ratios f(x)/x^(q^t) for every nonzero x, plus their fiber sizes.  On
+    nonzero x the ratio is the power sum of f_j x^(q^j - q^t), exponents
+    reduced mod (order - 1), so no division pass is needed."""
     ctx = f.ctx
     check_ceiling(ctx.order, ceiling)
+    q, q1 = ctx.q, ctx.order - 1
     xs = np.arange(1, ctx.order, dtype=np.int64)
-    fx = evaluate_vec(f, xs)
-    xt = ctx.frob_vec(xs, t)
-    ratios = ctx.mul_vec(fx, ctx.inv_vec(xt))
+    ratios = ctx.power_sum([((pow(q, j, q1) - pow(q, t, q1)) % q1, c)
+                            for j, c in enumerate(f.encs) if c], xs)
     counts = np.bincount(ratios, minlength=ctx.order)
     return xs, ratios, counts
 
@@ -157,43 +159,38 @@ def _frobenius_symmetry(f: QPoly) -> tuple[int, int]:
     return mu, r
 
 
-def _orbit_logs(ctx: FieldCtx, mu: int, cs: np.ndarray) -> tuple[int, np.ndarray]:
-    """log mu, and log(c/mu) mod (order - 1) for each scalar c of cs (the
-    entry of c = 0 means nothing).  This and _conjugate read the field's log
-    layout directly: int32 `_log`, and `_exp` holding the powers twice over,
-    so a sum of two reduced logs indexes it."""
-    ctx._ensure_tables()
-    lm = int(ctx._log[mu])
-    return lm, (ctx._log[cs].astype(np.int64) - lm) % (ctx.order - 1)
-
-
-def _conjugate(ctx: FieldCtx, lm: int, rel: np.ndarray, r: int, k: int) -> np.ndarray:
-    """mu*tau^k(c/mu) for tau(x) = x^(p^r), from the orbit logs of the nonzero
-    scalars c: one log-domain pass, log mu + p^(r*k)*(log c - log mu)
-    mod (order - 1), then one gather from the antilogs."""
-    q1 = ctx.order - 1
-    return ctx._exp[rel * pow(ctx.p, r * k, q1) % q1 + lm]
+def _conjugate(ctx: FieldCtx, mu: int, cs: np.ndarray, r: int, k: int) -> np.ndarray:
+    """mu*tau^k(c/mu) = mu^(1-P) * c^P for each scalar c of cs, where
+    tau(x) = x^(p^r) and P = p^(r*k): a one-term power sum."""
+    P = ctx.p ** (r * k)
+    return ctx.power_sum([(P, ctx.pow_i(mu, (1 - P) % (ctx.order - 1)))], cs)
 
 
 def _orbit_leaders(ctx: FieldCtx, mu: int, r: int):
     """The scalars that are the least encoding of their orbit {mu*tau^k(c/mu)},
-    ascending, as one array per _CHUNK candidate scalars.  Pass k drops the
+    ascending, in batches of _CHUNK (the last one shorter).  Pass k drops the
     candidates above their k-th conjugate; 0, the least encoding, stays."""
+    pending = np.empty(0, dtype=np.int64)
     for start in range(0, ctx.order, _CHUNK):
         cs = np.arange(start, min(start + _CHUNK, ctx.order), dtype=np.int64)
-        lm, rel = _orbit_logs(ctx, mu, cs)
         for k in range(1, ctx.N // r):
-            keep = cs <= _conjugate(ctx, lm, rel, r, k)
-            cs, rel = cs[keep], rel[keep]
-        yield cs
+            cs = cs[cs <= _conjugate(ctx, mu, cs, r, k)]
+        pending = np.concatenate([pending, cs])
+        last = start + _CHUNK >= ctx.order
+        while len(pending) >= _CHUNK or (last and len(pending)):
+            yield pending[:_CHUNK]
+            pending = pending[_CHUNK:]
 
 
 def _kernel_dim_chunks(f: QPoly, t: int, ceiling):
     """Kernel dimensions of c*X^(q^t) - f for the orbit leaders c (see
-    _frobenius_symmetry), ascending, as (leaders, dims) per batch of _CHUNK
-    leaders."""
+    _frobenius_symmetry), ascending, as (leaders, dims, conjugates) per batch
+    of _CHUNK leaders; conjugates lazily yields, for each k > 0, the k-th
+    conjugate of every leader.  The ceiling is checked at the call, and each
+    batch is ranked as it is drawn."""
     ctx = f.ctx
     check_ceiling(ctx.order, ceiling)
+    mu, r = _frobenius_symmetry(f)
     p, n_p = ctx.p, ctx.N
     b = (p ** np.arange(n_p, dtype=np.int64))[:, None]  # power basis g^i, encoded p^i
     h, fb = ctx.frob_vec(b, t), evaluate_vec(f, b)
@@ -203,18 +200,12 @@ def _kernel_dim_chunks(f: QPoly, t: int, ceiling):
         # column i of the map for scalar c is c*h_i - f(b_i); its digits are the rows
         enc = ctx.sub_vec(ctx.mul_vec(h, cs), fb)
         mats = np.empty((n_p, n_p, len(cs)), dtype=entry)
-        for r in range(n_p):
-            np.divmod(enc, p, out=(enc, mats[r]))
-        return cs, (n_p - _batch_rank_modp(mats, p)) // ctx.e
+        for row in range(n_p):
+            np.divmod(enc, p, out=(enc, mats[row]))
+        dims = (n_p - _batch_rank_modp(mats, p)) // ctx.e
+        return cs, dims, (_conjugate(ctx, mu, cs, r, k) for k in range(1, n_p // r))
 
-    pending = np.empty(0, dtype=np.int64)
-    for leaders in _orbit_leaders(ctx, *_frobenius_symmetry(f)):
-        pending = np.concatenate([pending, leaders])
-        while len(pending) >= _CHUNK:
-            yield ranked(pending[:_CHUNK])
-            pending = pending[_CHUNK:]
-    if len(pending):
-        yield ranked(pending)
+    return map(ranked, _orbit_leaders(ctx, mu, r))
 
 
 def kernel_dims_per_scalar(f: QPoly, t: int, ceiling=None) -> np.ndarray:
@@ -222,17 +213,12 @@ def kernel_dims_per_scalar(f: QPoly, t: int, ceiling=None) -> np.ndarray:
     encoding.  Works on the F_p matrices of the maps; dim_Fp = e * dim_Fq.
     Only orbit leaders are ranked; every other scalar of an orbit copies the
     dimension of its leader."""
-    ctx = f.ctx
-    check_ceiling(ctx.order, ceiling)
-    mu, r = _frobenius_symmetry(f)
-    dims = np.empty(ctx.order, dtype=np.int64)
-    for cs, ds in _kernel_dim_chunks(f, t, ceiling):
+    chunks = _kernel_dim_chunks(f, t, ceiling)  # checks the ceiling before dims exists
+    dims = np.empty(f.ctx.order, dtype=np.int64)
+    for cs, ds, conjugates in chunks:
         dims[cs] = ds
-        live = cs > 0  # 0 is an orbit of its own
-        lm, rel = _orbit_logs(ctx, mu, cs[live])
-        ds = ds[live]
-        for k in range(1, ctx.N // r):
-            dims[_conjugate(ctx, lm, rel, r, k)] = ds
+        for conj in conjugates:
+            dims[conj] = ds
     return dims
 
 
@@ -242,7 +228,7 @@ def scatter_test_kernel(f: QPoly, t: int, ceiling=None) -> bool:
     batch holding an offending one."""
     if f.is_zero():
         raise FieldError("scatteredness is undefined for the zero map")
-    return not any((dims > 1).any() for _, dims in _kernel_dim_chunks(f, t, ceiling))
+    return not any((dims > 1).any() for _, dims, _ in _kernel_dim_chunks(f, t, ceiling))
 
 
 def is_scattered(inst: NormalizedInstance, ceiling=None) -> ScatterVerdict:
@@ -402,11 +388,9 @@ def pair_product_image(ctx: FieldCtx, ceiling=None) -> set[FFElt]:
     """{u*v^q - v*u^q : u, v nonzero}, computed exhaustively."""
     check_ceiling(ctx.order, ceiling)
     vs = np.arange(1, ctx.order, dtype=np.int64)
-    vq = ctx.frob_vec(vs, 1)
     out: set[int] = set()
     for u in range(1, ctx.order):
-        uq = ctx.frob_i(u, 1)
-        vals = ctx.sub_vec(ctx.mul_vec(np.int64(u), vq), ctx.mul_vec(vs, np.int64(uq)))
+        vals = ctx.power_sum([(ctx.q, u), (1, ctx.neg_i(ctx.frob_i(u, 1)))], vs)
         out.update(np.unique(vals).tolist())
     return {FFElt(ctx, v) for v in out}
 

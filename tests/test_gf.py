@@ -2,7 +2,10 @@
 Frobenius, norm/trace and embeddings."""
 
 import itertools
+import random
+import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,3 +326,67 @@ def test_pow_frob_vec_past_int32_log_products():
 def test_table_cap_checked_before_allocation():
     with pytest.raises(gf.CeilingExceeded):
         gf.make_field(2, 1, 30).inv_i(1)
+
+
+def _power_sum_ref(ctx, terms, x):
+    """sum c * x^m on one encoding, from the scalar operations."""
+    acc = 0
+    for m, c in terms:
+        acc = ctx.add_i(acc, ctx.mul_i(c, ctx.pow_i(x, m)))
+    return acc
+
+
+POWER_SUM_FIELDS = lambda: (
+    gf.make_field(2, 1, 1), gf.make_field(3, 1, 1),  # order - 1 of 1 and 2
+    gf.make_field(2, 2, 3), gf.make_field(3, 2, 2), gf.make_field(13, 1, 2),
+    gf.make_field(3, 1, 3, modulus=(2, 2, 0, 1)),
+)
+
+
+def test_power_sum_matches_scalar_reference():
+    rng = random.Random(61)
+    for ctx in POWER_SUM_FIELDS():
+        xs = np.arange(ctx.order, dtype=np.int64)  # x = 0 included
+        q1 = ctx.order - 1
+        c = lambda: rng.randrange(ctx.order)
+        cases = [
+            [(0, c())],  # 0^0 = 1
+            [(q1, c()), (2 * q1, c())],  # multiples of order - 1 still vanish at 0
+            [(ctx.q ** j, c()) for j in range(41)],  # Frobenius exponents, unreduced
+            [(0, 0), (1, c()), (5, 0), (ctx.q + 1, 1)],  # zero and unit coefficients
+            [(rng.randrange(1, 3 * ctx.order), c()) for _ in range(6)] + [(0, c())],
+            [],
+        ]
+        for terms in cases:
+            out = ctx.power_sum(terms, xs)
+            assert out.dtype == np.int64 and out.shape == xs.shape
+            assert out.tolist() == [_power_sum_ref(ctx, terms, x) for x in xs.tolist()]
+        # a column of xs against rows of coefficients
+        col = xs[:, None]
+        rows = [(m, np.array([c() for _ in range(4)])) for m in (0, 1, ctx.q, q1)]
+        out = ctx.power_sum(rows, col)
+        assert out.shape == (ctx.order, 4)
+        assert out.tolist() == [[_power_sum_ref(ctx, [(m, int(cs[k])) for m, cs in rows], x) for k in range(4)]
+                                for x in xs.tolist()]
+        # a lone constant row still takes the shape of the column, in a new array
+        const = rows[0][1]
+        out = ctx.power_sum(rows[:1], col)
+        assert out.shape == (ctx.order, 4) and (out == const).all()
+        assert not np.shares_memory(out, const) and not np.shares_memory(ctx.power_sum([(0, xs)], xs), xs)
+
+
+def test_frob_vec_keeps_zero_over_f2():
+    # over F_2, q^s reduced mod order - 1 = 1 is 0, which once read as the constant exponent
+    f2 = gf.make_field(2, 1, 1)
+    for s in range(4):
+        assert f2.frob_vec(np.array([0, 1]), s).tolist() == [0, 1]
+        assert [f2.frob_i(x, s) for x in (0, 1)] == [0, 1]
+
+
+def test_only_gf_reads_the_log_tables():
+    # the log layout is gf's own: every other module goes through its operations
+    layout = re.compile(r"\b(_log|_exp|_zech|_ensure_tables)\b")
+    src = Path(gf.__file__).parent
+    hits = [f"{path.name}:{n}" for path in sorted(src.glob("*.py")) if path.name != "gf.py"
+            for n, line in enumerate(path.read_text().splitlines(), 1) if layout.search(line)]
+    assert hits == []

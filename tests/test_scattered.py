@@ -230,8 +230,7 @@ def test_frobenius_symmetry():
     ctx = gf.make_field(2, 2, 3)
     assert sc._frobenius_symmetry(lp.QPoly.monomial(ctx, 1)) == (1, 1)
     g = ctx.mult_generator_enc
-    lm, rel = sc._orbit_logs(ctx, 1, np.array([g]))
-    orbit = {g} | {int(sc._conjugate(ctx, lm, rel, 1, k)[0]) for k in range(1, ctx.N)}
+    orbit = {g} | {int(sc._conjugate(ctx, 1, np.array([g]), 1, k)[0]) for k in range(1, ctx.N)}
     assert orbit == {ctx.pow_i(g, 2 ** k) for k in range(ctx.N)} and len(orbit) == 6
     # b*X + X^(q^2) with b the generator of F_(3^4) inside F_(3^12): mu = b, r = 4
     small, ext = gf.make_field(3, 1, 4), gf.make_field(3, 1, 12)
@@ -245,6 +244,39 @@ def test_frobenius_symmetry():
     # the leaders of F_(2^6) under x -> x^2 are the 14 binary necklaces of length 6
     f64 = gf.make_field(2, 1, 6)
     assert sum(len(cs) for cs in sc._orbit_leaders(f64, 1, 1)) == 14
+
+
+def _divided_ratios(f, t):
+    """The evaluate-then-divide route: f(x) by Frobenius terms, times the
+    inverse of x^(q^t), on every nonzero x."""
+    ctx = f.ctx
+    xs = np.arange(1, ctx.order, dtype=np.int64)
+    fx = np.zeros_like(xs)
+    for j, c in enumerate(f.encs):
+        if c:
+            fx = ctx.add_vec(fx, ctx.mul_vec(np.int64(c), ctx.frob_vec(xs, j)))
+    ratios = ctx.mul_vec(fx, ctx.inv_vec(ctx.frob_vec(xs, t)))
+    return ratios, np.bincount(ratios, minlength=ctx.order)
+
+
+def test_ratio_power_sum_matches_division():
+    rng = random.Random(67)
+    fields = SMALL_FIELDS() + (gf.make_field(2, 1, 1), gf.make_field(3, 2, 2), gf.make_field(5, 1, 2),
+                               gf.make_field(3, 1, 3, modulus=(2, 2, 0, 1)))
+    for ctx in fields:
+        d = ctx.d
+        for _ in range(6):
+            # indices up to 2d + 1, so j >= d occurs unreduced, and the
+            # coefficient at t is left nonzero as often as not
+            encs = [rng.randrange(ctx.order) for _ in range(rng.randrange(1, 2 * d + 2))]
+            encs[-1] = encs[-1] or 1
+            f = lp.QPoly.from_encs(ctx, encs)
+            for t in range(2 * d + 1):
+                xs, ratios, counts = sc._ratio_counts(f, t)
+                want_ratios, want_counts = _divided_ratios(f, t)
+                assert xs.tolist() == list(range(1, ctx.order))
+                assert ratios.tolist() == want_ratios.tolist()
+                assert counts.tolist() == want_counts.tolist()
 
 
 def test_linear_set_partition_identity():
