@@ -154,7 +154,7 @@ def _scatter_common(args):
 
 def _cmd_scatter_test(args):
     ctx, f, t = _scatter_common(args)
-    verdict = sc.scatter_test(f, t, args.ceiling)
+    verdict, rep = sc.scatter_report(f, t, args.ceiling)
     report = {
         "field": args.field,
         "f": render_qpoly(f),
@@ -162,7 +162,6 @@ def _cmd_scatter_test(args):
         "scattered": verdict.scattered,
         "witness": render_witness(verdict.witness),
     }
-    rep = sc.linear_set_report_raw(f, t, args.ceiling)
     report["size"] = rep.size
     report["max_weight"] = rep.max_weight
     report["weight_spectrum"] = {str(w): c for w, c in sorted(rep.weight_spectrum.items())}

@@ -12,7 +12,9 @@ Arithmetic runs on one log layout built once per field: discrete logs to a
 least multiplicative generator, antilogs, and for odd p the Zech logarithms
 Z(k) = log(1 + g^k), so u + v = u * (1 + v/u) is table lookups as well.  For
 p = 2 addition is XOR, the native addition of the encoding.  numpy kernels
-back the bulk operations used by exhaustive scans.
+back the bulk operations used by exhaustive scans; the main one,
+`FieldCtx.power_sum`, evaluates sum c * x^m over an array with every term
+kept as a log (m * log x + log c) until one antilog gather at the end.
 """
 
 from __future__ import annotations
@@ -368,23 +370,31 @@ class FieldCtx:
         return out
 
     def _add_logs(self, lu, lv):
-        """Encodings of g^lu + g^lv for odd p, a log of -1 standing for 0."""
-        z = self._zech[lv - lu]  # log(1 + g^(lv - lu))
-        s = np.where(z < 0, -1, lu + z)  # z = -1: v = -u
-        return self._exp[np.where(lu < 0, lv, np.where(lv < 0, lu, s))]
+        """log(g^lu + g^lv) for odd p, broadcasting, as a new int32 array.
+
+        Logs in and out are at most 2(order - 2), the largest sum of two
+        reduced logs, so every difference indexes the doubled `_zech`; -1
+        stands for 0."""
+        q1 = self.order - 1
+        s = np.asarray(self._zech[np.subtract(lv, lu)])  # log(1 + g^(lv - lu))
+        np.add(s, lu, out=s, where=s >= 0)  # s = -1 stays: v = -u
+        np.subtract(s, q1, out=s, where=s > 2 * q1 - 2)
+        np.copyto(s, lv, where=lu < 0)
+        np.copyto(s, lu, where=lv < 0)
+        return s
 
     def add_vec(self, u, v):
         if self.p == 2:
             return u ^ v
         self._ensure_tables()
-        return self._add_logs(self._log[u], self._log[v])
+        return self._exp[self._add_logs(self._log[u], self._log[v])]
 
     def sub_vec(self, u, v):
         if self.p == 2:
             return u ^ v
         self._ensure_tables()
         lv = self._log[v]
-        return self._add_logs(self._log[u], np.where(lv < 0, -1, lv + (self.order - 1) // 2))
+        return self._exp[self._add_logs(self._log[u], np.where(lv < 0, -1, lv + (self.order - 1) // 2))]
 
     def mul_vec(self, u, v):
         self._ensure_tables()
@@ -398,17 +408,10 @@ class FieldCtx:
         return self._exp[self.order - 1 - self._log[u]]
 
     def pow_vec(self, u, m: int):
-        self._ensure_tables()
-        u = np.asarray(u, dtype=np.int64)
-        if m == 0:
-            return np.ones(u.shape, dtype=np.int64)
-        q1 = self.order - 1
-        lu = self._log[u]
-        # int64 product: an int32 log times an exponent below q - 1 can pass 2^31
-        return self._exp[np.where(lu < 0, -1, np.multiply(lu, m % q1, dtype=np.int64) % q1)]
+        return self.power_sum([(m, 1)], u)
 
     def frob_vec(self, u, s: int):
-        # q^s unreduced: reduced mod order - 1 it is 0 over F_2, read by pow_vec as x^0
+        # q^s unreduced: reduced mod order - 1 it is 0 over F_2, read as x^0
         return self.pow_vec(u, self.q ** s)
 
     def power_sum(self, terms, xs):
@@ -417,21 +420,71 @@ class FieldCtx:
         m is an unreduced exponent: m = 0 is the constant term c (0^0 = 1),
         while any m > 0 gives 0 at x = 0, a multiple of order - 1 included.
         c is an encoding or an array of encodings broadcasting against xs.
-        Each term is one pow_vec and one mul_vec (none when c == 1)."""
+
+        The sum runs on logs, -1 standing for 0.  log x is read once; a term's
+        log is (m * log x mod (order - 1)) + log c, at most 2(order - 2), so
+        it indexes the doubled tables as it is.  Terms are added as Zech logs
+        for odd p and as XORed antilogs for p = 2; one antilog gather ends
+        the sum."""
+        self._ensure_tables()
         xs = np.asarray(xs, dtype=np.int64)
+        q1 = self.order - 1
+        lx = self._log[xs]
+        x_zero = lx < 0 if lx.min(initial=0) < 0 else None
         acc = None
         for m, c in terms:
-            if m == 0:
-                term = np.array(c, dtype=np.int64)
+            lt = self._log[c]
+            if lt.ndim == 0 and lt < 0:
+                continue  # c = 0
+            if m:
+                lt = self._term_log(lx, m % q1, lt, x_zero)
+            if self.p > 2:
+                acc = lt if acc is None else self._add_logs(acc, lt)
+                continue
+            # the term's antilogs overwrite its int64 logs (-1 wraps to the
+            # trailing 0), then XOR into whichever operand has the sum's shape
+            lt = np.asarray(lt, dtype=np.int64)
+            np.take(self._exp, lt, out=lt, mode="wrap")
+            if acc is None:
+                acc = lt
+                continue
+            shape = np.broadcast_shapes(acc.shape, lt.shape)
+            if acc.shape != shape:
+                acc, lt = lt, acc
+            if acc.shape == shape:
+                acc ^= lt
             else:
-                term = self.pow_vec(xs, m)
-                if not (isinstance(c, (int, np.integer)) and c == 1):
-                    term = self.mul_vec(term, c)
-            acc = term if acc is None else self.add_vec(acc, term)
+                acc = acc ^ lt
         if acc is None:
             return np.zeros(xs.shape, dtype=np.int64)
-        shape = np.broadcast_shapes(xs.shape, acc.shape)  # constant terms alone miss the shape of xs
-        return acc if acc.shape == shape else np.broadcast_to(acc, shape).copy()
+        out = self._exp[acc] if self.p > 2 else acc
+        if out.shape != xs.shape:  # constant terms alone miss the shape of xs
+            shape = np.broadcast_shapes(xs.shape, out.shape)
+            out = out if out.shape == shape else np.broadcast_to(out, shape).copy()
+        return out
+
+    def _term_log(self, lx, mr, lc, x_zero):
+        """log(c * x^m) from lx = log x, mr = m mod (order - 1) for m > 0 and
+        lc = log c, as a new array (int32 for odd p, int64 for p = 2, whose
+        logs become antilogs in place); -1 where x or c is 0."""
+        q1 = self.order - 1
+        # int64: the product can pass 2^31; asarray keeps a lone x writable in place
+        power = np.asarray(np.multiply(lx, mr, dtype=np.int64))
+        quot = power // q1  # floor division by a scalar is numpy's fast path, % is not
+        quot *= q1
+        power -= quot
+        del quot  # freed before lt is allocated
+        # a zero factor becomes a log of -2(order - 1): any sum with it stays negative
+        zero = -2 * q1
+        if x_zero is not None:
+            np.copyto(power, zero, where=x_zero)
+        c_zero = lc.ndim > 0 and lc.min(initial=0) < 0
+        if c_zero:
+            lc = np.where(lc < 0, zero, lc)
+        lt = np.asarray(np.add(power, lc, dtype=np.int32 if self.p > 2 else np.int64))
+        if x_zero is not None or c_zero:
+            np.maximum(lt, -1, out=lt)
+        return lt
 
     # -- elements -------------------------------------------------------------
 

@@ -82,8 +82,19 @@ def scatter_test(f: QPoly, t: int, ceiling=None) -> ScatterVerdict:
     """
     if f.is_zero():
         raise FieldError("scatteredness is undefined for the zero map")
-    ctx = f.ctx
+    return _fiber_verdict(f.ctx, *_ratio_counts(f, t, ceiling))
+
+
+def scatter_report(f: QPoly, t: int, ceiling=None) -> tuple[ScatterVerdict, LinearSetReport]:
+    """scatter_test and linear_set_report_raw of a nonzero pair from one
+    ratio scan."""
+    if f.is_zero():
+        raise FieldError("scatteredness is undefined for the zero map")
     xs, ratios, counts = _ratio_counts(f, t, ceiling)
+    return _fiber_verdict(f.ctx, xs, ratios, counts), _weight_spectrum(f.ctx, counts)
+
+
+def _fiber_verdict(ctx: FieldCtx, xs, ratios, counts) -> ScatterVerdict:
     fat = counts > ctx.q - 1
     if not fat.any():
         return ScatterVerdict(True, None)
@@ -258,8 +269,10 @@ def linear_set_report_raw(f: QPoly, t: int, ceiling=None) -> LinearSetReport:
     """
     if f.is_zero():
         raise FieldError("the zero map defines no linear set of full rank")
-    ctx = f.ctx
-    _, _, counts = _ratio_counts(f, t, ceiling)
+    return _weight_spectrum(f.ctx, _ratio_counts(f, t, ceiling)[2])
+
+
+def _weight_spectrum(ctx: FieldCtx, counts) -> LinearSetReport:
     q = ctx.q
     by_size = {q ** w - 1: w for w in range(1, ctx.d + 1)}
     spectrum: dict[int, int] = {}

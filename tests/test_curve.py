@@ -3,6 +3,7 @@ multiplicities, transforms, branch series, resultants and gap audits."""
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -219,6 +220,29 @@ def test_count_affine_matches_brute_force(case, pred):
         res = cv.count_affine(fp, ctx, pred)
     assert res.count == cnt
     assert (None if res.witness is None else (res.witness[0].val, res.witness[1].val)) == first
+
+
+# tracemalloc peaks, in bytes, of the ratio count below as the chart sweep
+# built it from pow_vec, mul_vec and add_vec passes; numpy 2.4.6, Python 3.11
+CHART_PEAK_BYTES = {(2, 1, 10): 16837128, (3, 1, 6): 17015432}
+
+
+@pytest.mark.parametrize("field", sorted(CHART_PEAK_BYTES), ids=lambda f: "%d^%d^%d" % f)
+def test_chart_block_memory_stays_at_peak(field):
+    # one two-degree curve, swept in one block of about order^2 cells
+    ctx = gf.make_field(*field)
+    rng = random.Random(3)
+    fp = B(ctx, {ij: rng.randrange(1, ctx.order)
+                 for ij in ((3, 0), (2, 1), (1, 2), (0, 3), (2, 0), (1, 1), (0, 2))})
+    want = cv.count_affine(fp, ctx, "ratio_not_in_Fq")  # builds the tables outside the trace
+    tracemalloc.start()
+    try:
+        res = cv.count_affine(fp, ctx, "ratio_not_in_Fq")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res == want and res.count > 0
+    assert peak <= CHART_PEAK_BYTES[field]
 
 
 def test_multiplicity_examples():

@@ -361,6 +361,8 @@ def test_power_sum_matches_scalar_reference():
             out = ctx.power_sum(terms, xs)
             assert out.dtype == np.int64 and out.shape == xs.shape
             assert out.tolist() == [_power_sum_ref(ctx, terms, x) for x in xs.tolist()]
+            for x in (0, 1, c()):  # a lone x
+                assert int(ctx.power_sum(terms, np.int64(x))) == _power_sum_ref(ctx, terms, x)
         # a column of xs against rows of coefficients
         col = xs[:, None]
         rows = [(m, np.array([c() for _ in range(4)])) for m in (0, 1, ctx.q, q1)]
@@ -373,6 +375,36 @@ def test_power_sum_matches_scalar_reference():
         out = ctx.power_sum(rows[:1], col)
         assert out.shape == (ctx.order, 4) and (out == const).all()
         assert not np.shares_memory(out, const) and not np.shares_memory(ctx.power_sum([(0, xs)], xs), xs)
+        # array coefficients holding 0, against the flat xs and as the chart's
+        # rows against a column that holds x = 0
+        zs = np.array([0, c(), 0, 1, c()])
+        for terms in ([(0, xs)], [(1, xs), (2, xs[::-1].copy())], [(ctx.q, xs), (0, 0), (3, 1)]):
+            assert ctx.power_sum(terms, xs).tolist() == [
+                _power_sum_ref(ctx, [(m, int(np.broadcast_to(cs, xs.shape)[i])) for m, cs in terms], x)
+                for i, x in enumerate(xs.tolist())]
+        rows = [(0, zs), (1, zs[::-1].copy()), (ctx.q + 1, np.zeros(5, dtype=np.int64)), (q1, zs)]
+        out = ctx.power_sum(rows, col)
+        assert out.tolist() == [[_power_sum_ref(ctx, [(m, int(cs[k])) for m, cs in rows], x) for k in range(5)]
+                                for x in xs.tolist()]
+        # u + (-u) + w: the running sum is 0 at every x before the last term
+        for w in (c(), 0):
+            u = c()
+            terms = [(3, u), (3, ctx.neg_i(u)), (ctx.q, w), (1, zs[:1])]
+            assert ctx.power_sum(terms, xs).tolist() == [_power_sum_ref(ctx, terms[:3], x) for x in xs.tolist()]
+            assert ctx.power_sum(terms, col).tolist() == [[_power_sum_ref(ctx, terms[:3], x)] for x in xs.tolist()]
+        # cancellation at some x only: c x + c' x^q is 0 where x^(q-1) = -c/c'
+        terms = [(1, c() or 1), (ctx.q, c() or 1), (ctx.q ** 2, c()), (0, c())]
+        assert ctx.power_sum(terms, xs).tolist() == [_power_sum_ref(ctx, terms, x) for x in xs.tolist()]
+    # on F_(3^12), m near order - 1 times any log above 4041 passes 2^31, so
+    # the product must be formed in int64
+    ctx = gf.make_field(3, 1, 12)
+    q1 = ctx.order - 1
+    xs = np.array([0, 1, 2, q1] + [rng.randrange(ctx.order) for _ in range(300)])
+    for terms in ([(q1 - 1, 1)], [(q1 - 1, 5), (3 ** 11 + 7, 2), (2 * q1 + 1, 7), (0, 4)],
+                  [(ctx.order - 2, q1), (ctx.order - 2, ctx.neg_i(q1)), (q1 - 3, 9)]):
+        want = [_power_sum_ref(ctx, terms, x) for x in xs.tolist()]
+        assert ctx.power_sum(terms, xs).tolist() == want
+        assert ctx.power_sum(terms, xs[:, None]).ravel().tolist() == want
 
 
 def test_frob_vec_keeps_zero_over_f2():

@@ -1,9 +1,10 @@
 """Cross-route properties over a stated domain, drawn by hypothesis: the
-kernel sweep against the fiber counts of the ratio map, and the rank-code
-histogram against both."""
+kernel sweep against the fiber counts of the ratio map, the rank-code
+histogram against both, and the power-sum kernel against scalar arithmetic."""
 
 from collections import Counter
 
+import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from scatterpoly import gf, linpoly as lp, rankcode as rk, scattered as sc
@@ -61,3 +62,56 @@ def test_kernel_dims_are_fiber_logs(case):
     hist[0] += 1
     report = rk.min_distance(rk.CodeSpec(ctx, t, f))
     assert report.kernel_histogram == {w: n * (ctx.order - 1) for w, n in hist.items()}
+
+
+def _power_sum_ref(ctx, terms, x):
+    """sum c * x^m on one encoding, from the scalar operations."""
+    acc = 0
+    for m, c in terms:
+        acc = ctx.add_i(acc, ctx.mul_i(c, ctx.pow_i(x, m)))
+    return acc
+
+
+@st.composite
+def power_sum_cases(draw):
+    """(field, terms, xs): up to five terms over a field from the sweep's
+    domain, each exponent 0, a multiple of order - 1 or any below
+    3 * order, each coefficient an encoding or a row of encodings; with
+    probability 1/2 a term and its negative both appear, so the running sum
+    meets 0.  xs is a flat sample or, with row coefficients, a column;
+    x = 0 is always in it."""
+    rnd = draw(st.randoms(use_true_random=False))
+    p, e, d = rnd.choice(PRIME_FIELDS if rnd.random() < 0.5 else Q_FIELDS)
+    ctx = gf.make_field(p, e, d, modulus=explicit_modulus(rnd, p, e * d))
+    q1 = ctx.order - 1
+    rows = rnd.random() < 0.5
+    width = rnd.randrange(1, 5)
+
+    def coeff():
+        if rows:
+            return np.array([rnd.choice((0, rnd.randrange(ctx.order))) for _ in range(width)])
+        return rnd.choice((0, 1, rnd.randrange(ctx.order)))
+
+    terms = []
+    for _ in range(rnd.randrange(6)):
+        m = rnd.choice((0, q1, 2 * q1, ctx.q ** rnd.randrange(2 * d), rnd.randrange(3 * ctx.order)))
+        terms.append((m, coeff()))
+    if terms and rnd.random() < 0.5:
+        m, c = rnd.choice(terms)
+        neg = ([ctx.neg_i(int(v)) for v in c] if rows else ctx.neg_i(c))
+        terms.insert(rnd.randrange(len(terms) + 1), (m, np.array(neg) if rows else neg))
+    xs = np.array([0] + rnd.sample(range(1, ctx.order), min(q1, 60)), dtype=np.int64)
+    return ctx, terms, (xs[:, None] if rows else xs)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(case=power_sum_cases())
+def test_power_sum_matches_scalar_arithmetic(case):
+    ctx, terms, xs = case
+    out = ctx.power_sum(terms, xs)
+    shape = np.broadcast_shapes(xs.shape, *(np.shape(c) for _, c in terms))
+    assert out.dtype == np.int64 and out.shape == shape
+    for idx in np.ndindex(shape):
+        x = int(xs[idx[0]] if xs.ndim == 1 else xs[idx[0], 0])
+        cs = [(m, int(c if np.ndim(c) == 0 else c[idx[-1]])) for m, c in terms]
+        assert int(out[idx]) == _power_sum_ref(ctx, cs, x)
