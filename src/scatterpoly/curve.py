@@ -73,8 +73,7 @@ class UnivarPoly:
         return UnivarPoly(self.ctx, [self.ctx.add_i(self.coeff(k), other.coeff(k)) for k in range(n)])
 
     def sub(self, other: "UnivarPoly") -> "UnivarPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UnivarPoly(self.ctx, [self.ctx.sub_i(self.coeff(k), other.coeff(k)) for k in range(n)])
+        return self.add(other.neg())
 
     def neg(self) -> "UnivarPoly":
         return UnivarPoly(self.ctx, [self.ctx.neg_i(c) for c in self.coeffs])
@@ -218,11 +217,7 @@ class BivarPoly:
         out = dict(self.terms)
         ctx = self.ctx
         for k, c in other.terms.items():
-            v = ctx.add_i(out.get(k, 0), c)
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
+            out[k] = ctx.add_i(out.get(k, 0), c)
         return BivarPoly(ctx, out)
 
     def sub(self, other: "BivarPoly") -> "BivarPoly":
@@ -243,11 +238,7 @@ class BivarPoly:
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
                 k = (i1 + i2, j1 + j2)
-                v = ctx.add_i(out.get(k, 0), ctx.mul_i(c1, c2))
-                if v:
-                    out[k] = v
-                else:
-                    out.pop(k, None)
+                out[k] = ctx.add_i(out.get(k, 0), ctx.mul_i(c1, c2))
         return BivarPoly(ctx, out)
 
     def evaluate(self, x, y) -> FFElt:
@@ -261,39 +252,20 @@ class BivarPoly:
     def shift(self, u, v) -> "BivarPoly":
         """F(X+u, Y+v), exact binomial expansion."""
         ctx = self.ctx
-        u, v = _enc(ctx, u), _enc(ctx, v)
         cur = self.terms
-        if u:
+        for axis, s in enumerate((_enc(ctx, u), _enc(ctx, v))):
+            if not s:
+                continue
             out: dict = {}
             for (i, j), c in cur.items():
-                for a in range(i + 1):
-                    bc = _binom_mod(i, a, ctx.p)
-                    if not bc:
-                        continue
-                    w = ctx.mul_i(c, ctx.mul_i(bc, ctx.pow_i(u, i - a)))
-                    k = (a, j)
-                    s = ctx.add_i(out.get(k, 0), w)
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
+                n = (i, j)[axis]
+                for a in range(n + 1):
+                    bc = _binom_mod(n, a, ctx.p)
+                    if bc:
+                        k = (a, j) if axis == 0 else (i, a)
+                        out[k] = ctx.add_i(out.get(k, 0), ctx.mul_i(c, ctx.mul_i(bc, ctx.pow_i(s, n - a))))
             cur = out
-        if v:
-            out = {}
-            for (i, j), c in cur.items():
-                for b in range(j + 1):
-                    bc = _binom_mod(j, b, ctx.p)
-                    if not bc:
-                        continue
-                    w = ctx.mul_i(c, ctx.mul_i(bc, ctx.pow_i(v, j - b)))
-                    k = (i, b)
-                    s = ctx.add_i(out.get(k, 0), w)
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
-            cur = out
-        return BivarPoly(ctx, dict(cur))
+        return BivarPoly(ctx, cur)
 
     def embed_into(self, ext: FieldCtx) -> "BivarPoly":
         if ext is self.ctx or ext == self.ctx:
@@ -514,7 +486,7 @@ def _count_affine_chart(fe: BivarPoly, predicate: str) -> AffineCount:
         if c and witness is None:
             r = int(np.argmax(mask.any(axis=1)))
             x = int(xs[r, 0])
-            y = int(ext.mul_vec(np.int64(x), us[mask[r]]).min())
+            y = int(ext.power_sum([(1, x)], us[mask[r]]).min())
             witness = (FFElt(ext, x), FFElt(ext, y))
         count += c
     return AffineCount(count, witness)

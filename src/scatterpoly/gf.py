@@ -11,10 +11,11 @@ degree N over F_p, coefficients compared from the constant term up.
 Arithmetic runs on one log layout built once per field: discrete logs to a
 least multiplicative generator, antilogs, and for odd p the Zech logarithms
 Z(k) = log(1 + g^k), so u + v = u * (1 + v/u) is table lookups as well.  For
-p = 2 addition is XOR, the native addition of the encoding.  numpy kernels
-back the bulk operations used by exhaustive scans; the main one,
-`FieldCtx.power_sum`, evaluates sum c * x^m over an array with every term
-kept as a log (m * log x + log c) until one antilog gather at the end.
+p = 2 addition is XOR, the native addition of the encoding.  The one array
+kernel is `FieldCtx.power_sum`, which evaluates sum c * x^m over an array with
+every term kept as a log (m * log x + log c) until one antilog gather at the
+end; the other array operations are power sums (u * v is v * u^1, u + v is
+1 * u^1 + v * u^0, 1/u is u^(order - 2)), save p = 2 addition.
 """
 
 from __future__ import annotations
@@ -386,26 +387,20 @@ class FieldCtx:
     def add_vec(self, u, v):
         if self.p == 2:
             return u ^ v
-        self._ensure_tables()
-        return self._exp[self._add_logs(self._log[u], self._log[v])]
+        return self.power_sum([(1, 1), (0, v)], u)
 
     def sub_vec(self, u, v):
         if self.p == 2:
             return u ^ v
-        self._ensure_tables()
-        lv = self._log[v]
-        return self._exp[self._add_logs(self._log[u], np.where(lv < 0, -1, lv + (self.order - 1) // 2))]
+        return self.power_sum([(1, self.p - 1), (0, u)], v)  # (-1) * v + u
 
     def mul_vec(self, u, v):
-        self._ensure_tables()
-        lu, lv = self._log[u], self._log[v]
-        return self._exp[np.where((lu < 0) | (lv < 0), -1, lu + lv)]
+        return self.power_sum([(1, v)], u)
 
     def inv_vec(self, u):
-        self._ensure_tables()
         if (u == 0).any():
             raise ZeroDivisionError("inversion of zero")
-        return self._exp[self.order - 1 - self._log[u]]
+        return self.pow_vec(u, self.order - 2)
 
     def pow_vec(self, u, m: int):
         return self.power_sum([(m, 1)], u)

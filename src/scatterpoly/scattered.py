@@ -204,12 +204,13 @@ def _kernel_dim_chunks(f: QPoly, t: int, ceiling):
     mu, r = _frobenius_symmetry(f)
     p, n_p = ctx.p, ctx.N
     b = (p ** np.arange(n_p, dtype=np.int64))[:, None]  # power basis g^i, encoded p^i
-    h, fb = ctx.frob_vec(b, t), evaluate_vec(f, b)
+    h = ctx.frob_vec(b, t)
+    neg_fb = ctx.power_sum([(1, p - 1)], evaluate_vec(f, b))  # -f(b)
     entry = np.min_scalar_type(-(p - 1) ** 2)
 
     def ranked(cs):
-        # column i of the map for scalar c is c*h_i - f(b_i); its digits are the rows
-        enc = ctx.sub_vec(ctx.mul_vec(h, cs), fb)
+        # column i for scalar c is c*h_i - f(b_i), a power sum in c; its digits are the rows
+        enc = ctx.power_sum([(1, h), (0, neg_fb)], cs)
         mats = np.empty((n_p, n_p, len(cs)), dtype=entry)
         for row in range(n_p):
             np.divmod(enc, p, out=(enc, mats[row]))
@@ -276,11 +277,12 @@ def _weight_spectrum(ctx: FieldCtx, counts) -> LinearSetReport:
     q = ctx.q
     by_size = {q ** w - 1: w for w in range(1, ctx.d + 1)}
     spectrum: dict[int, int] = {}
-    for csize in np.unique(counts[counts > 0]):
+    ratios_by_size = np.bincount(counts)
+    for csize in np.flatnonzero(ratios_by_size[1:]) + 1:
         w = by_size.get(int(csize))
         if w is None:
             raise FieldError("internal error: fiber size is not q^w - 1")
-        spectrum[w] = int((counts == csize).sum())
+        spectrum[w] = int(ratios_by_size[csize])
     return LinearSetReport(
         size=sum(spectrum.values()),
         weight_spectrum=spectrum,

@@ -271,7 +271,7 @@ def run_hasse_weil(seed: int = 0, ceiling=None) -> SuiteResult:
                     ctx, {(0, 1): 1, (0, q): ctx.neg_i(1), (q + 1, 0): ctx.neg_i(av)}
                 )
                 total, gap, bound = cv.hasse_weil_gap(f_poly, ceiling=ceiling)
-                affine = cv.count_affine(f_poly, ceiling=ceiling).count
+                affine = total - len(cv.points_at_infinity(f_poly, ceiling=ceiling))
                 checks += 1
                 if gap > bound:
                     failures.append(f"q={q} n={n} alpha={av}: gap {gap} > bound {bound:.3f}")

@@ -259,7 +259,10 @@ def test_subfield_coords_roundtrip():
 
 
 def test_vector_ops_match_scalar():
-    for ctx in (gf.make_field(3, 1, 3), gf.make_field(2, 2, 2)):
+    # F_2 and F_3 invert with the exponents order - 2 = 0 and 1
+    fields = (gf.make_field(3, 1, 3), gf.make_field(2, 2, 2), gf.make_field(2, 1, 1), gf.make_field(3, 1, 1),
+              gf.make_field(13, 1, 2), gf.make_field(3, 1, 3, modulus=(2, 2, 0, 1)))
+    for ctx in fields:
         u = np.arange(ctx.order, dtype=np.int64)
         v = (u * 5 + 3) % ctx.order
         assert all(ctx.add_vec(u, v)[i] == ctx.add_i(int(u[i]), int(v[i])) for i in range(ctx.order))
@@ -386,6 +389,14 @@ def test_power_sum_matches_scalar_reference():
         out = ctx.power_sum(rows, col)
         assert out.tolist() == [[_power_sum_ref(ctx, [(m, int(cs[k])) for m, cs in rows], x) for k in range(5)]
                                 for x in xs.tolist()]
+        # the kernel sweep's columns c*h_i - f(b_i): (N, 1) columns h and -f(b),
+        # the latter with a zero entry, against a row of scalars c that holds 0
+        h = np.array([[c() or 1] for _ in range(3)])
+        neg_fb = np.array([[c()], [0], [c()]])
+        out = ctx.power_sum([(1, h), (0, neg_fb)], xs)
+        assert out.shape == (3, ctx.order)
+        assert out.tolist() == [[_power_sum_ref(ctx, [(1, int(h[i, 0])), (0, int(neg_fb[i, 0]))], x)
+                                 for x in xs.tolist()] for i in range(3)]
         # u + (-u) + w: the running sum is 0 at every x before the last term
         for w in (c(), 0):
             u = c()
