@@ -10,12 +10,15 @@ degree N over F_p, coefficients compared from the constant term up.
 
 Arithmetic runs on one log layout built once per field: discrete logs to a
 least multiplicative generator, antilogs, and for odd p the Zech logarithms
-Z(k) = log(1 + g^k), so u + v = u * (1 + v/u) is table lookups as well.  For
-p = 2 addition is XOR, the native addition of the encoding.  The one array
-kernel is `FieldCtx.power_sum`, which evaluates sum c * x^m over an array with
-every term kept as a log (m * log x + log c) until one antilog gather at the
-end; the other array operations are power sums (u * v is v * u^1, u + v is
-1 * u^1 + v * u^0, 1/u is u^(order - 2)), save p = 2 addition.
+Z(k) = log(1 + g^k), so u + v = u * (1 + v/u) is table lookups as well.  The
+antilogs are digit rows stepped by powers of one F_p matrix, multiplication by
+the generator, and the log table is checked by its own fill.  For p = 2
+addition is XOR, the native addition of the encoding.  The one array kernel is
+`FieldCtx.power_sum`, which evaluates sum c * x^m over an array with every
+term kept as a log (m * log x + log c) until one antilog gather at the end;
+the other array operations are power sums (u * v is v * u^1, u + v is
+1 * u^1 + v * u^0, 1/u is u^(order - 2)), save p = 2 addition.  Coordinates
+over F_q are remainders modulo the minimal polynomial of g over F_q.
 """
 
 from __future__ import annotations
@@ -200,7 +203,7 @@ class FieldCtx:
         self._zech = None
         self._subfield_gen_enc = None
         self._subfield_elems = None
-        self._coord_solver = None
+        self._subfield_minpoly = None
         self._mulgen_enc = None
 
     # -- identity ----------------------------------------------------------
@@ -267,43 +270,50 @@ class FieldCtx:
 
     def _ensure_tables(self):
         """Build the log layout: `_log` (int32, -1 at 0); `_exp`, the powers
-        g^0 .. g^(q-2) twice over and a trailing 0, so a sum of two logs
-        indexes it directly and index -1 reads 0; and for odd p `_zech`,
-        Z(k) = log(1 + g^k) twice over, so a difference of two logs indexes it
-        directly (negative differences wrap)."""
+        gen^0 .. gen^(order-2) twice over and a trailing 0, so a sum of two
+        logs indexes it directly and index -1 reads 0; and for odd p `_zech`,
+        Z(k) = log(1 + gen^k) twice over, so a difference of two logs indexes
+        it directly (negative differences wrap).
+
+        `mat` is multiplication by gen on digit rows (row i holds the digits
+        of gen * g^i).  Doubling `dig` from the digits of 1 with `dig @ mat`,
+        and squaring `mat` each time, gives a block of powers and the matrix
+        that steps one block to the next.  The order - 1 writes of `_log` fill
+        its nonzero slots exactly once iff gen generates, so the fill checks
+        itself."""
         if self._exp is not None:
             return
         if self.order > TABLE_CEILING:
             raise CeilingExceeded(f"log tables for {self.order} elements exceed the cap of {TABLE_CEILING}")
         q1 = self.order - 1
         gen = self._find_mult_generator()
-        self._mulgen_enc = gen
         p, N = self.p, self.N
-        block = min(1 << 9, q1)
-        small = [1]
-        for _ in range(block - 1):
-            small.append(self._mul_slow(small[-1], gen))
-        step_enc = self._mul_slow(small[-1], gen)  # gen^block
-        # row c holds the digits of gen^block * g^c: multiplication by gen^block on digit rows
-        mstep = self.digits_vec([self._mul_slow(step_enc, pp) for pp in self._pp[:N]])
-        dig = self.digits_vec(small)
+        mat = self.digits_vec([self._mul_slow(gen, pp) for pp in self._pp[:N]])
+        dig = np.eye(1, N, dtype=np.int64)
+        while len(dig) < min(1 << 9, q1):
+            dig = np.vstack((dig, dig @ mat % p))
+            mat = mat @ mat % p
+        block = len(dig)
         place = np.array(self._pp[:N], dtype=np.int64)
-        exp = np.empty(q1, dtype=np.int64)
+        exp = np.empty(2 * q1 + 1, dtype=np.int64)
+        period = exp[:q1]
         for pos in range(0, q1, block):
             take = min(block, q1 - pos)
-            exp[pos : pos + take] = dig[:take] @ place
-            dig = dig @ mstep % p
-        counts = np.bincount(exp, minlength=self.order)
-        if counts.max() != 1 or counts[0] != 0:
-            raise FieldError("internal error: bad discrete log table")
+            period[pos : pos + take] = dig[:take] @ place
+            dig = dig @ mat % p
+        exp[q1:-1] = period
+        exp[-1] = 0
         log = np.full(self.order, -1, dtype=np.int32)
-        log[exp] = np.arange(q1, dtype=np.int32)
+        log[period] = np.arange(q1, dtype=np.int32)
+        if log[0] != -1 or log[1:].min() < 0:
+            raise FieldError("internal error: bad discrete log table")
         if p > 2:
             # 1 + x only increments digit 0 of x
-            low = exp % p
-            self._zech = np.tile(log[exp - low + (low + 1) % p], 2)
+            low = period % p
+            self._zech = np.tile(log[period - low + (low + 1) % p], 2)
+        self._mulgen_enc = gen
         self._log = log
-        self._exp = np.concatenate([exp, exp, np.zeros(1, dtype=np.int64)])
+        self._exp = exp
 
     @property
     def mult_generator_enc(self) -> int:
@@ -452,7 +462,7 @@ class FieldCtx:
                 acc = acc ^ lt
         if acc is None:
             return np.zeros(xs.shape, dtype=np.int64)
-        out = self._exp[acc] if self.p > 2 else acc
+        out = np.asarray(self._exp[acc]) if self.p > 2 else acc  # a 0-d gather reads a scalar
         if out.shape != xs.shape:  # constant terms alone miss the shape of xs
             shape = np.broadcast_shapes(xs.shape, out.shape)
             out = out if out.shape == shape else np.broadcast_to(out, shape).copy()
@@ -560,51 +570,27 @@ class FieldCtx:
     def subfield_coords(self, v: int):
         """Coordinates of v over F_q in the power basis 1, g, ..., g^(n-1).
 
-        Returns a tuple of n encodings, each lying in F_q.
+        Returns a tuple of n encodings, each lying in F_q: the remainder of the
+        digit polynomial sum_k digit_k X^k modulo the minimal polynomial
+        m_q(X) = prod_{k<n} (X - g^(q^k)) of g over F_q, whose coefficients
+        lie in F_q.
         """
         if self.e == 1:
             return self.digits(v)
-        if self._coord_solver is None:
-            self._coord_solver = self._build_coord_solver()
-        inv = self._coord_solver
-        dg = self.digits(v)
-        p, e, n = self.p, self.e, self.d
-        s = self.subfield_gen.val
-        spow = [self.pow_i(s, i) for i in range(e)]
-        out = []
-        for j in range(n):
-            acc = 0
-            for i in range(e):
-                a = sum(inv[j * e + i][k] * dg[k] for k in range(self.N)) % p
-                if a:
-                    acc = self.add_i(acc, self.mul_i(a, spow[i]))
-            out.append(acc)
-        return tuple(out)
-
-    def _build_coord_solver(self):
-        """Inverse over F_p of the basis matrix with columns s^i * g^j."""
-        p, e, n, N = self.p, self.e, self.d, self.N
-        s = self.subfield_gen.val
-        cols = []
-        for j in range(n):
-            gj = self.pow_i(self.gen_enc, j) if N > 1 else 1
-            for i in range(e):
-                cols.append(self.digits(self.mul_i(self.pow_i(s, i), gj)))
-        # invert the N x N matrix whose column (j*e+i) is cols[j*e+i]
-        a = [[cols[c][r] for c in range(N)] for r in range(N)]
-        aug = [row[:] + [1 if k == r else 0 for k in range(N)] for r, row in enumerate(a)]
-        for col in range(N):
-            piv = next((r for r in range(col, N) if aug[r][col]), None)
-            if piv is None:
-                raise FieldError("subfield basis is singular")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            ic = pow(aug[col][col], p - 2, p)
-            aug[col] = [(x * ic) % p for x in aug[col]]
-            for r in range(N):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[col])]
-        return [row[N:] for row in aug]
+        n = self.d
+        if self._subfield_minpoly is None:
+            m = [1]  # ascending coefficients, monic
+            for k in range(n):
+                neg_root = self.neg_i(self.frob_i(self.gen_enc, k))
+                m = [self.add_i(a, self.mul_i(neg_root, b)) for a, b in zip([0] + m, m + [0])]
+            self._subfield_minpoly = m
+        m = self._subfield_minpoly
+        r = list(self.digits(v))
+        for k in range(self.N - 1, n - 1, -1):
+            if r[k]:
+                for i in range(n):
+                    r[k - n + i] = self.sub_i(r[k - n + i], self.mul_i(r[k], m[i]))
+        return tuple(r[:n])
 
 
 class FFElt:

@@ -1,6 +1,7 @@
 """Field arithmetic: construction, canonical order, subfield structure,
 Frobenius, norm/trace and embeddings."""
 
+import hashlib
 import itertools
 import random
 import re
@@ -246,7 +247,10 @@ def test_embed_requires_compatible_structure():
 
 
 def test_subfield_coords_roundtrip():
-    for ctx in (gf.make_field(2, 2, 2), gf.make_field(3, 1, 3), gf.make_field(2, 2, 3)):
+    fields = (gf.make_field(2, 2, 2), gf.make_field(3, 1, 3), gf.make_field(2, 2, 3),
+              gf.make_field(2, 2, 1), gf.make_field(2, 3, 2), gf.make_field(2, 2, 4), gf.make_field(5, 2, 2),
+              gf.make_field(3, 2, 2, modulus=(2, 0, 0, 1, 1)))  # X^4 + X^3 + 2, not the canonical X^4 + X + 2
+    for ctx in fields:
         g = ctx.gen
         for v in range(0, ctx.order, max(1, ctx.order // 23)):
             coords = ctx.subfield_coords(v)
@@ -331,6 +335,95 @@ def test_table_cap_checked_before_allocation():
         gf.make_field(2, 1, 30).inv_i(1)
 
 
+# (p, e, d, modulus): the multiplicative generator and SHA-256 digests, as
+# little-endian int64, of _exp[:order - 1], _log and _zech[:order - 1]
+TABLE_DIGESTS = {
+    (2, 1, 1, None): (
+        1, "7c9fa136d4413fa6173637e883b6998d32e1d675f88cddff9dcbcf331820f4b8",
+        "60c69a3e87bf5c4f1e546bec45f262690bcf5494c4ecac2616bf2f731afa152a",
+        None),
+    (2, 1, 4, None): (
+        2, "1b3553e94660d3aaa951959df5449388084822f376745a532b63c1b24afaca97",
+        "42d49f76ddc31ea1aa8d62f705255e3831f8bc9ca3f136290f846d05aedb727b",
+        None),
+    (2, 1, 5, (1, 0, 1, 0, 0, 1)): (
+        2, "baa8a706cb55e34dce386f0461ddc1b0d317d8621e2f77b7b983ac8b91d89da2",
+        "54abc48e89106bd46458aba658c007f0ee99abc0664bbbfeaf266a2ef5764ab0",
+        None),
+    (2, 2, 4, None): (
+        3, "11266a21c8268fe0d18220349a334db46275acf77c028eb418cf6317b305acc7",
+        "e6c4386b08504dc699c5cf71ad8668c6513706a4a9b79da086330a5fcb3ad933",
+        None),
+    (2, 1, 16, None): (
+        3, "a9c0b9735a82fc72c5287527e2930d5f0603c0dae1bd9c70ade1fc1578a1d84d",
+        "0f41fdce3eabda40cf3cdda317cab701f03874f59156f192b0f1e8830e7a11e7",
+        None),
+    (3, 1, 1, None): (
+        2, "0c730b69905c5ef7a4ca5269f72365400bde2dd2c04eaf9bbb3d1c4a265a0131",
+        "d6c3f800c1b53a78e97d97be229f84126df8d4c2c3c4d2ae3165b1dbb5f34a19",
+        "db0550d553e2a146e34164d19cd55f006c38d700d8f9a4e3ba2c889a1d7c26b2"),
+    (3, 1, 3, (2, 2, 0, 1)): (
+        6, "510e8ab7bdf7178294defd6230d099737bc2a4529ebb2eb767385a6d16004dde",
+        "2d17567e3a81f01468c7f8b00d3cb730a28459a27f02336ee5a9e6d4bc87bd89",
+        "5657afbbe9c5c38fcf1a4efc460772cd7a70565511d43a29ab989d42bbfc1151"),
+    (3, 2, 2, None): (
+        3, "6d1eb4f77b46bca3fa4387db5ea3dcb2db3c626d30d0a4bbd0b26b6bc33f9f78",
+        "5c326d7cfbd598f9132e784b013d0f608514b5b49dc37a37db5b5936d4ae67ba",
+        "c81c4e376145bd5d71f5683f18b78a5c74264eb548b46634eb9e6f2de169c783"),
+    (3, 1, 10, None): (
+        34, "05e6eecc9abe2e8fc95256f41a756ad049ea391b26cc74fa08e316ceeca86baa",
+        "453cc6d71240e529d2c0522b418b46a56de11959e9aa682cdbb157002efd2734",
+        "0b362223e83a185845ffe4000a1e6d1aface5614e6ebd3be6f325082e9ed8b06"),
+    (5, 1, 6, None): (
+        5, "46e0e83ab73fbe9641effea57dc067f79deafbc103ebd69634d917b5323cd802",
+        "8ccafc2fa90db8e686d1bb986236167a2f5f0d808ab7166cbc6e3516f2f84476",
+        "f36a7ff51618e077c21e77b3de8c7cefae7dad3bb36853652afd2d2381d45fd7"),
+    (7, 1, 5, None): (
+        9, "c69917ea67c62c00115d6d32fac2ea4e839f5cd287014388d02491661f7b1c3d",
+        "0e8495f64ef1daa27fdc3cc1c25326cde10c9da655eca36c9ea994ba09026293",
+        "66f01698f91364bf0e4c56b0d11683a3ffb4151e9383385fdae9aadbd24aee13"),
+    (13, 1, 1, None): (
+        2, "ca9c8cdd04b2e88aa4d188381cc7e73e2f469fa8a19bf387e04f92933202c555",
+        "82ff80f378683ffcf052114af0e4a8c3dcfe12f7f6aee3ee6776c4c1c5357f86",
+        "565e1483157ebaa37640b22c83adc4e2fbbe1630854547ac501cb79f96df94ae"),
+    (13, 1, 4, None): (
+        17, "e094c3ab2f613ecd1a926df62d5cf5e4281b9f0e568ad60257daf845966b6eed",
+        "b0e9c7ff2979e5f93dac734152183e73b88a055fa6321d3d7ae541c8bf7ebb76",
+        "2f6fa16526ed8129088da33bee798700996af0998af62bc9daffccdece495c62"),
+}
+
+
+def _sha256_int64(a):
+    return hashlib.sha256(np.asarray(a, dtype="<i8").tobytes()).hexdigest()
+
+
+def test_log_tables_are_pinned():
+    for (p, e, d, modulus), (gen, exp, log, zech) in TABLE_DIGESTS.items():
+        ctx = gf.make_field(p, e, d, modulus)
+        q1 = ctx.order - 1
+        assert ctx.mult_generator_enc == gen
+        assert _sha256_int64(ctx._exp[:q1]) == exp and _sha256_int64(ctx._log) == log
+        # the doubled layout: a second period, then the 0 that index -1 reads
+        assert ctx._exp.dtype == np.int64 and ctx._log.dtype == np.int32
+        assert ctx._exp.shape == (2 * q1 + 1,) and ctx._log.shape == (ctx.order,)
+        assert (ctx._exp[q1:-1] == ctx._exp[:q1]).all() and ctx._exp[-1] == 0
+        if p == 2:
+            assert ctx._zech is None and zech is None
+        else:
+            assert ctx._zech.dtype == np.int32 and ctx._zech.shape == (2 * q1,)
+            assert (ctx._zech[q1:] == ctx._zech[:q1]).all() and _sha256_int64(ctx._zech[:q1]) == zech
+
+
+def test_table_check_rejects_a_non_generator():
+    # 1 on F_16, -1 on F_9 and 2 (of order 3) on F_7 leave nonzero log slots unfilled
+    for (p, d), bad in (((2, 4), 1), ((3, 2), 2), ((7, 1), 2)):
+        ctx = gf.FieldCtx(p, 1, d)  # not make_field: the cached contexts stay clean
+        ctx._find_mult_generator = lambda bad=bad: bad
+        with pytest.raises(gf.FieldError, match="^internal error: bad discrete log table$"):
+            ctx._ensure_tables()
+        assert ctx._exp is None and ctx._log is None and ctx._zech is None
+
+
 def _power_sum_ref(ctx, terms, x):
     """sum c * x^m on one encoding, from the scalar operations."""
     acc = 0
@@ -364,8 +457,14 @@ def test_power_sum_matches_scalar_reference():
             out = ctx.power_sum(terms, xs)
             assert out.dtype == np.int64 and out.shape == xs.shape
             assert out.tolist() == [_power_sum_ref(ctx, terms, x) for x in xs.tolist()]
-            for x in (0, 1, c()):  # a lone x
-                assert int(ctx.power_sum(terms, np.int64(x))) == _power_sum_ref(ctx, terms, x)
+            for x in (0, 1, c()):  # a lone x gives a new 0-d array for every p
+                out = ctx.power_sum(terms, np.int64(x))
+                assert type(out) is np.ndarray and out.ndim == 0 and out.dtype == np.int64
+                assert int(out) == _power_sum_ref(ctx, terms, x)
+        # so do the vector operations that are power sums
+        one = np.int64(1)
+        for out in (ctx.mul_vec(one, one), ctx.pow_vec(one, 3), ctx.inv_vec(one), ctx.frob_vec(one, 1)):
+            assert type(out) is np.ndarray and out.ndim == 0 and out.dtype == np.int64 and int(out) == 1
         # a column of xs against rows of coefficients
         col = xs[:, None]
         rows = [(m, np.array([c() for _ in range(4)])) for m in (0, 1, ctx.q, q1)]

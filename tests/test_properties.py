@@ -1,13 +1,14 @@
 """Cross-route properties over a stated domain, drawn by hypothesis: the
 kernel sweep against the fiber counts of the ratio map, the rank-code
-histogram against both, and the power-sum kernel against scalar arithmetic."""
+histogram against both, the quotient curve's ratio-predicate count against
+the fiber verdict, and the power-sum kernel against scalar arithmetic."""
 
 from collections import Counter
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from scatterpoly import gf, linpoly as lp, rankcode as rk, scattered as sc
+from scatterpoly import curve as cv, gf, linpoly as lp, rankcode as rk, scattered as sc
 
 # p up to 17 over F_p, every order at most 13^3; and q in {9, 25}
 PRIME_FIELDS = [(p, 1, d) for p in (2, 3, 5, 7, 11, 13, 17) for d in range(2, 12) if p ** d <= 13 ** 3]
@@ -25,13 +26,15 @@ def explicit_modulus(rnd, p, n):
 
 
 @st.composite
-def sweep_cases(draw):
+def sweep_cases(draw, max_order=None):
     """(field, f, t) with t > 0 and f_t = 0.  Fields over F_p and over F_q,
-    q in {9, 25}, are drawn with probability 1/2 each.  With probability 1/2
-    f = mu*g with g over a proper subfield, so the sweep's orbit symmetry r
-    is below N; otherwise every coefficient is uniform and nonzero."""
+    q in {9, 25}, are drawn with probability 1/2 each, of order at most
+    max_order when it is given.  With probability 1/2 f = mu*g with g over a
+    proper subfield, so the sweep's orbit symmetry r is below N; otherwise
+    every coefficient is uniform and nonzero."""
     rnd = draw(st.randoms(use_true_random=False))
-    p, e, d = rnd.choice(PRIME_FIELDS if rnd.random() < 0.5 else Q_FIELDS)
+    fields = PRIME_FIELDS if rnd.random() < 0.5 else Q_FIELDS
+    p, e, d = rnd.choice([f for f in fields if max_order is None or f[0] ** (f[1] * f[2]) <= max_order])
     ctx = gf.make_field(p, e, d, modulus=explicit_modulus(rnd, p, e * d))
     t = rnd.randrange(1, d)
     proper = [s for s in range(1, ctx.N) if ctx.N % s == 0]
@@ -62,6 +65,23 @@ def test_kernel_dims_are_fiber_logs(case):
     hist[0] += 1
     report = rk.min_distance(rk.CodeSpec(ctx, t, f))
     assert report.kernel_histogram == {w: n * (ctx.order - 1) for w, n in hist.items()}
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(case=sweep_cases(max_order=729))
+def test_ratio_curve_count_matches_fiber_verdict(case):
+    # off the lines y = u*x, u in F_q, the quotient curve's affine zeros are
+    # the pairs (x, y) of equal ratio f(x)/x^(q^t): a fiber of n elements
+    # holds n(n - (q - 1)) of them, and the first in grid order is the
+    # fiber scan's witness
+    ctx, f, t = case
+    res = cv.count_affine(cv.build_scatter_curve(f, t), ctx, "ratio_not_in_Fq")
+    verdict = sc.scatter_test(f, t)
+    _, _, counts = sc._ratio_counts(f, t)
+    assert res.count == int((counts * (counts - (ctx.q - 1)))[counts > 0].sum())
+    assert (res.count == 0) == verdict.scattered
+    if not verdict.scattered:
+        assert [w.val for w in res.witness] == [w.val for w in verdict.witness]
 
 
 def _power_sum_ref(ctx, terms, x):
