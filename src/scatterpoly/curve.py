@@ -38,10 +38,6 @@ def _binom_mod(n: int, k: int, p: int) -> int:
     return r
 
 
-def _enc(ctx: FieldCtx, c) -> int:
-    return c.val if isinstance(c, FFElt) else int(c) % ctx.order
-
-
 # ---------------------------------------------------------------------------
 
 class UnivarPoly:
@@ -50,7 +46,7 @@ class UnivarPoly:
     __slots__ = ("ctx", "coeffs")
 
     def __init__(self, ctx: FieldCtx, coeffs):
-        cs = [_enc(ctx, c) for c in coeffs]
+        cs = [ctx.enc(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "ctx", ctx)
@@ -91,7 +87,7 @@ class UnivarPoly:
         return UnivarPoly(ctx, out)
 
     def scale(self, c) -> "UnivarPoly":
-        c = _enc(self.ctx, c)
+        c = self.ctx.enc(c)
         return UnivarPoly(self.ctx, [self.ctx.mul_i(a, c) for a in self.coeffs])
 
     def divmod(self, other: "UnivarPoly") -> tuple["UnivarPoly", "UnivarPoly"]:
@@ -134,7 +130,7 @@ class UnivarPoly:
 
     def evaluate(self, x) -> int:
         ctx = self.ctx
-        x = _enc(ctx, x)
+        x = ctx.enc(x)
         acc = 0
         for c in reversed(self.coeffs):
             acc = ctx.add_i(ctx.mul_i(acc, x), c)
@@ -176,7 +172,7 @@ class BivarPoly:
     def __init__(self, ctx: FieldCtx, terms=None):
         tm = {}
         for (i, j), c in (terms or {}).items():
-            v = _enc(ctx, c)
+            v = ctx.enc(c)
             if v:
                 if i < 0 or j < 0:
                     raise FieldError("negative exponent")
@@ -213,25 +209,6 @@ class BivarPoly:
     def sorted_terms(self):
         return sorted(self.terms.items())
 
-    def add(self, other: "BivarPoly") -> "BivarPoly":
-        out = dict(self.terms)
-        ctx = self.ctx
-        for k, c in other.terms.items():
-            out[k] = ctx.add_i(out.get(k, 0), c)
-        return BivarPoly(ctx, out)
-
-    def sub(self, other: "BivarPoly") -> "BivarPoly":
-        return self.add(other.neg())
-
-    def neg(self) -> "BivarPoly":
-        ctx = self.ctx
-        return BivarPoly(ctx, {k: ctx.neg_i(c) for k, c in self.terms.items()})
-
-    def scale(self, c) -> "BivarPoly":
-        ctx = self.ctx
-        c = _enc(ctx, c)
-        return BivarPoly(ctx, {k: ctx.mul_i(v, c) for k, v in self.terms.items()})
-
     def mul(self, other: "BivarPoly") -> "BivarPoly":
         ctx = self.ctx
         out: dict = {}
@@ -243,7 +220,7 @@ class BivarPoly:
 
     def evaluate(self, x, y) -> FFElt:
         ctx = self.ctx
-        x, y = _enc(ctx, x), _enc(ctx, y)
+        x, y = ctx.enc(x), ctx.enc(y)
         acc = 0
         for (i, j), c in self.terms.items():
             acc = ctx.add_i(acc, ctx.mul_i(c, ctx.mul_i(ctx.pow_i(x, i), ctx.pow_i(y, j))))
@@ -253,7 +230,7 @@ class BivarPoly:
         """F(X+u, Y+v), exact binomial expansion."""
         ctx = self.ctx
         cur = self.terms
-        for axis, s in enumerate((_enc(ctx, u), _enc(ctx, v))):
+        for axis, s in enumerate((ctx.enc(u), ctx.enc(v))):
             if not s:
                 continue
             out: dict = {}
@@ -339,12 +316,12 @@ def scatter_curve_numerator(f: QPoly, t: int) -> BivarPoly:
     q = ctx.q
     qt = q ** (t % ctx.d)
     out: dict = {}
-    for j, c in enumerate(fr.coeffs):
-        if c.is_zero() or j == t % ctx.d:
+    for j, c in enumerate(fr.encs):
+        if not c or j == t % ctx.d:
             continue
         qj = q ** j
-        out[(qj, qt)] = c.val
-        out[(qt, qj)] = ctx.neg_i(c.val)
+        out[(qj, qt)] = c
+        out[(qt, qj)] = ctx.neg_i(c)
     return BivarPoly(ctx, out)
 
 
@@ -648,7 +625,7 @@ def line_restriction(f: QPoly, t: int, u, curve: BivarPoly | None = None) -> Uni
     rules out; it is reported as an error."""
     f_poly = curve if curve is not None else build_scatter_curve(f, t)
     ctx = f_poly.ctx
-    u = _enc(ctx, u)
+    u = ctx.enc(u)
     out: dict[int, int] = {}
     for k, form in _forms_by_degree(f_poly).items():
         for j, c in form.items():

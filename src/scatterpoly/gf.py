@@ -13,12 +13,13 @@ least multiplicative generator, antilogs, and for odd p the Zech logarithms
 Z(k) = log(1 + g^k), so u + v = u * (1 + v/u) is table lookups as well.  The
 antilogs are digit rows stepped by powers of one F_p matrix, multiplication by
 the generator, and the log table is checked by its own fill.  For p = 2
-addition is XOR, the native addition of the encoding.  The one array kernel is
-`FieldCtx.power_sum`, which evaluates sum c * x^m over an array with every
-term kept as a log (m * log x + log c) until one antilog gather at the end;
-the other array operations are power sums (u * v is v * u^1, u + v is
-1 * u^1 + v * u^0, 1/u is u^(order - 2)), save p = 2 addition.  Coordinates
-over F_q are remainders modulo the minimal polynomial of g over F_q.
+scalar addition is XOR, the native addition of the encoding.  The one array
+kernel is `FieldCtx.power_sum`, which evaluates sum c * x^m over an array with
+every term kept as a log (m * log x + log c) until one antilog gather at the
+end; the other array operations are power sums (u * v is v * u^1, u + v is
+1 * u^1 + v * u^0, 1/u is u^(order - 2)).  Coordinates over F_q are
+remainders modulo the minimal polynomial of g over F_q.  `FieldCtx.enc` is the
+one rule that turns an int or an element into an encoding.
 """
 
 from __future__ import annotations
@@ -128,29 +129,19 @@ def _pp_gcd(a, b, p):
 
 
 def is_irreducible(m, p) -> bool:
-    """Rabin test: x^(p^N) = x mod m, and gcd(x^(p^r) - x, m) trivial for
-    every proper divisor r of N."""
+    """Ben-Or test: m of degree N is irreducible iff gcd(x^(p^i) - x, m) is
+    trivial for every i <= N/2, so it stops at the first i that finds a
+    factor of degree dividing i."""
     m = list(m)
     n = len(m) - 1
     if n < 1:
         return False
-    if n == 1:
-        return True
     x = [0, 1]
     t = x
-    powers = {}
-    for r in range(1, n + 1):
+    for _ in range(n // 2):
         t = _pp_powmod(t, p, m, p)
-        powers[r] = t
-    top = [(c1 - c2) % p for c1, c2 in itertools.zip_longest(powers[n], x, fillvalue=0)]
-    if _pp_trim(top):
-        return False
-    for r in range(1, n):
-        if n % r:
-            continue
-        diff = [(c1 - c2) % p for c1, c2 in itertools.zip_longest(powers[r], x, fillvalue=0)]
-        g = _pp_gcd(m, _pp_trim(diff), p)
-        if len(g) - 1 > 0:
+        diff = [(c1 - c2) % p for c1, c2 in itertools.zip_longest(t, x, fillvalue=0)]
+        if len(_pp_gcd(m, _pp_trim(diff), p)) > 1:
             return False
     return True
 
@@ -239,13 +230,7 @@ class FieldCtx:
         return self.undigits(r)
 
     def _pow_slow(self, u: int, m: int) -> int:
-        r = 1
-        while m:
-            if m & 1:
-                r = self._mul_slow(r, u)
-            u = self._mul_slow(u, u)
-            m >>= 1
-        return r
+        return self.undigits(_pp_powmod(list(self.digits(u)), m, list(self.modulus), self.p))
 
     # -- log/antilog tables ---------------------------------------------------
 
@@ -395,13 +380,9 @@ class FieldCtx:
         return s
 
     def add_vec(self, u, v):
-        if self.p == 2:
-            return u ^ v
         return self.power_sum([(1, 1), (0, v)], u)
 
     def sub_vec(self, u, v):
-        if self.p == 2:
-            return u ^ v
         return self.power_sum([(1, self.p - 1), (0, u)], v)  # (-1) * v + u
 
     def mul_vec(self, u, v):
@@ -493,12 +474,18 @@ class FieldCtx:
 
     # -- elements -------------------------------------------------------------
 
-    def elem(self, v) -> "FFElt":
+    def enc(self, v) -> int:
+        """The encoding of v: an element of this field (or of an equal one)
+        gives its value, any other element raises ContextMismatch, and an int
+        is reduced modulo the order."""
         if isinstance(v, FFElt):
-            if v.ctx is not self:
+            if v.ctx is not self and v.ctx != self:
                 raise ContextMismatch("element from a different field")
-            return v
-        return FFElt(self, int(v) % self.order)
+            return v.val
+        return int(v) % self.order
+
+    def elem(self, v) -> "FFElt":
+        return FFElt(self, self.enc(v))
 
     def from_coeffs(self, coeffs) -> "FFElt":
         cs = list(coeffs)
@@ -733,9 +720,7 @@ class Embedding:
         return acc
 
     def __call__(self, x: FFElt) -> FFElt:
-        if x.ctx is not self.sub and x.ctx != self.sub:
-            raise ContextMismatch("element does not belong to the embedded field")
-        return FFElt(self.sup, self.map_enc(x.val))
+        return FFElt(self.sup, self.map_enc(self.sub.enc(x)))
 
 
 _EMBED_CACHE: dict = {}

@@ -1,16 +1,18 @@
 """Linearized polynomial algebra over F_{q^n}.
 
-A QPoly is sum_j c_j X^(q^j) with coefficients in F_{q^n}; it acts on the
-field as an F_q-linear map.  The module provides evaluation, the structural
-normalization used across the scatteredness machinery, the F_q matrix of the
-map, kernel dimension and composition modulo X^(q^n) - X.
+A QPoly is sum_j c_j X^(q^j) with coefficients in F_{q^n}, stored as their
+encodings; it acts on the field as an F_q-linear map.  The module provides
+evaluation, the structural normalization used across the scatteredness
+machinery, the F_q matrix of the map, kernel dimension and composition modulo
+X^(q^n) - X.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from . import gf
 from .gf import ContextMismatch, FFElt, FieldCtx, FieldError
 
 DEFAULT_DEGREE_CEILING = 1024
@@ -21,76 +23,72 @@ class NormalizationError(FieldError):
 
 
 class QPoly:
-    """sum_j coeffs[j] * X^(q^j), trailing zero coefficients trimmed."""
+    """sum_j c_j * X^(q^j) over the encodings `encs` of the c_j, trailing
+    zeros trimmed; every coefficient passes through `FieldCtx.enc`."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "encs")
 
     def __init__(self, ctx: FieldCtx, coeffs, degree_ceiling: int = DEFAULT_DEGREE_CEILING):
-        cs = [ctx.elem(c) if not isinstance(c, FFElt) else c for c in coeffs]
-        for c in cs:
-            if c.ctx is not ctx and c.ctx != ctx:
-                raise ContextMismatch("coefficient from a different field")
-        while cs and cs[-1].is_zero():
+        cs = [ctx.enc(c) for c in coeffs]
+        while cs and cs[-1] == 0:
             cs.pop()
         if len(cs) > degree_ceiling:
             raise FieldError(f"q-degree {len(cs) - 1} exceeds the ceiling {degree_ceiling}")
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "encs", tuple(cs))
 
     def __setattr__(self, *a):
         raise AttributeError("QPoly is immutable")
 
     @classmethod
     def from_encs(cls, ctx: FieldCtx, encs) -> "QPoly":
-        return cls(ctx, [FFElt(ctx, int(v)) for v in encs])
+        return cls(ctx, encs)
 
     @classmethod
     def monomial(cls, ctx: FieldCtx, j: int, coeff=None) -> "QPoly":
-        c = ctx.one if coeff is None else ctx.elem(coeff)
-        return cls(ctx, [ctx.zero] * j + [c])
+        return cls(ctx, [0] * j + [1 if coeff is None else coeff])
 
     @property
-    def encs(self):
-        return tuple(c.val for c in self.coeffs)
+    def coeffs(self) -> tuple:
+        return tuple(FFElt(self.ctx, v) for v in self.encs)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.encs
 
     def qdegree(self) -> int:
         """Index k of the top term X^(q^k); -1 for the zero map."""
-        return len(self.coeffs) - 1
+        return len(self.encs) - 1
 
     def support(self):
-        return tuple(j for j, c in enumerate(self.coeffs) if not c.is_zero())
+        return tuple(j for j, c in enumerate(self.encs) if c)
 
     def coeff(self, j: int) -> FFElt:
-        if 0 <= j < len(self.coeffs):
-            return self.coeffs[j]
-        return self.ctx.zero
+        return FFElt(self.ctx, self.encs[j] if 0 <= j < len(self.encs) else 0)
 
     def scale(self, c) -> "QPoly":
-        c = self.ctx.elem(c)
-        return QPoly(self.ctx, [c * a for a in self.coeffs])
+        ctx = self.ctx
+        c = ctx.enc(c)
+        return QPoly(ctx, [ctx.mul_i(c, a) for a in self.encs])
 
     def add(self, other: "QPoly") -> "QPoly":
         if other.ctx != self.ctx:
             raise ContextMismatch("mixed contexts")
-        n = max(len(self.coeffs), len(other.coeffs))
-        return QPoly(self.ctx, [self.coeff(j) + other.coeff(j) for j in range(n)])
+        pairs = itertools.zip_longest(self.encs, other.encs, fillvalue=0)
+        return QPoly(self.ctx, [self.ctx.add_i(a, b) for a, b in pairs])
 
     def sub(self, other: "QPoly") -> "QPoly":
         if other.ctx != self.ctx:
             raise ContextMismatch("mixed contexts")
-        n = max(len(self.coeffs), len(other.coeffs))
-        return QPoly(self.ctx, [self.coeff(j) - other.coeff(j) for j in range(n)])
+        pairs = itertools.zip_longest(self.encs, other.encs, fillvalue=0)
+        return QPoly(self.ctx, [self.ctx.sub_i(a, b) for a, b in pairs])
 
     def reduce_indices(self) -> "QPoly":
         """Fold X^(q^j) onto X^(q^(j mod n)); unchanged as a map on F_{q^n}."""
-        n = self.ctx.d
-        out = [self.ctx.zero] * n
-        for j, c in enumerate(self.coeffs):
-            out[j % n] = out[j % n] + c
-        return QPoly(self.ctx, out)
+        ctx, n = self.ctx, self.ctx.d
+        out = [0] * n
+        for j, c in enumerate(self.encs):
+            out[j % n] = ctx.add_i(out[j % n], c)
+        return QPoly(ctx, out)
 
     def __eq__(self, other):
         return isinstance(other, QPoly) and self.ctx == other.ctx and self.encs == other.encs
@@ -108,18 +106,17 @@ class QPoly:
 def evaluate(f: QPoly, x: FFElt) -> FFElt:
     """f(x) = sum_j c_j x^(q^j)."""
     ctx = f.ctx
-    if x.ctx is not ctx and x.ctx != ctx:
-        raise ContextMismatch("argument from a different field")
+    x = ctx.enc(x)
     acc = 0
-    for j, c in enumerate(f.coeffs):
-        if c.val:
-            acc = ctx.add_i(acc, ctx.mul_i(c.val, ctx.frob_i(x.val, j)))
+    for j, c in enumerate(f.encs):
+        if c:
+            acc = ctx.add_i(acc, ctx.mul_i(c, ctx.frob_i(x, j)))
     return FFElt(ctx, acc)
 
 
 def evaluate_vec(f: QPoly, xs: np.ndarray) -> np.ndarray:
     """Vectorized evaluation over an array of encodings."""
-    return f.ctx.power_sum([(f.ctx.q ** j, c.val) for j, c in enumerate(f.coeffs) if c.val], xs)
+    return f.ctx.power_sum([(f.ctx.q ** j, c) for j, c in enumerate(f.encs) if c], xs)
 
 
 class NormalizedInstance:
@@ -136,9 +133,9 @@ class NormalizedInstance:
             raise NormalizationError("index must be nonnegative")
         if not f.coeff(t).is_zero():
             raise NormalizationError(f"coefficient at index {t} must be zero")
-        if t > 0 and f.coeff(0).is_zero():
+        if t > 0 and not f.encs[0]:
             raise NormalizationError("constant-index coefficient must be nonzero when t > 0")
-        if f.coeffs[-1] != f.ctx.one:
+        if f.encs[-1] != 1:
             raise NormalizationError("instance must be monic")
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "t", t)
@@ -165,19 +162,18 @@ def normalize(f: QPoly, t: int) -> tuple[NormalizedInstance, int]:
     ctx = f.ctx
     n = ctx.d
     t0 = 0
-    coeffs = list(f.coeffs)
-    if t > 0 and coeffs[0].is_zero():
-        t0 = min(j for j, c in enumerate(coeffs) if not c.is_zero())
+    encs = f.encs
+    if t > 0 and not encs[0]:
+        t0 = f.support()[0]
         if t0 > t:
             raise NormalizationError(f"least support index {t0} exceeds the index t={t}")
-        tw = (n - t0) % n
-        coeffs = [gf.frobenius(c, tw) for c in coeffs[t0:]]
+        encs = [ctx.frob_i(c, (n - t0) % n) for c in encs[t0:]]
         t = t - t0
-    g = QPoly(ctx, coeffs)
+    g = QPoly(ctx, encs)
     if not g.coeff(t).is_zero():
         raise NormalizationError(f"coefficient at index {t} is nonzero after reduction")
-    if g.coeffs[-1] != ctx.one:
-        g = g.scale(g.coeffs[-1].inv())
+    if g.encs[-1] != 1:
+        g = g.scale(ctx.inv_i(g.encs[-1]))
     return NormalizedInstance(g, t), t0
 
 
@@ -233,12 +229,11 @@ def compose_mod(f: QPoly, g: QPoly) -> QPoly:
     ctx = f.ctx
     n = ctx.d
     out = [0] * n
-    for i, ci in enumerate(f.coeffs):
-        if ci.is_zero():
+    for i, ci in enumerate(f.encs):
+        if not ci:
             continue
-        for j, dj in enumerate(g.coeffs):
-            if dj.is_zero():
-                continue
-            k = (i + j) % n
-            out[k] = ctx.add_i(out[k], ctx.mul_i(ci.val, ctx.frob_i(dj.val, i)))
-    return QPoly.from_encs(ctx, out)
+        for j, dj in enumerate(g.encs):
+            if dj:
+                k = (i + j) % n
+                out[k] = ctx.add_i(out[k], ctx.mul_i(ci, ctx.frob_i(dj, i)))
+    return QPoly(ctx, out)

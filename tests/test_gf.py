@@ -57,6 +57,28 @@ def test_modulus_irreducibility_by_trial_division():
                 assert any(rem), (p, n, cand)
 
 
+def test_is_irreducible_matches_necklace_count():
+    # oracle: (1/n) sum_{d | n} mu(d) p^(n/d) monic irreducibles of degree n,
+    # over every monic candidate of degree n >= 1 with p^n <= 2^12
+    def mobius(d):
+        sign = 1
+        for f in range(2, d + 1):
+            if d % f == 0:
+                d //= f
+                if d % f == 0:
+                    return 0
+                sign = -sign
+        return sign
+
+    for p in (2, 3, 5, 7, 11, 13):
+        assert not gf.is_irreducible([1], p)  # degree 0
+        n = 1
+        while p ** n <= 1 << 12:
+            count = sum(gf.is_irreducible(list(tail) + [1], p) for tail in itertools.product(range(p), repeat=n))
+            assert count == sum(mobius(d) * p ** (n // d) for d in range(1, n + 1) if n % d == 0) // n, (p, n)
+            n += 1
+
+
 def _polydivmod(a, b, p):
     a = a[:]
     out = [0] * (len(a) - len(b) + 1)
@@ -515,6 +537,13 @@ def test_power_sum_matches_scalar_reference():
         want = [_power_sum_ref(ctx, terms, x) for x in xs.tolist()]
         assert ctx.power_sum(terms, xs).tolist() == want
         assert ctx.power_sum(terms, xs[:, None]).ravel().tolist() == want
+    # add_vec and sub_vec are power sums for p = 2 too: a lone pair gives a new
+    # 0-d int64 array in every characteristic
+    for ctx in (gf.make_field(2, 1, 3), gf.make_field(3, 1, 3)):
+        for u, v in ((1, 1), (5, 0), (0, 6), (3, 7), (0, 0)):
+            for out, want in ((ctx.add_vec(np.int64(u), np.int64(v)), ctx.add_i(u, v)),
+                              (ctx.sub_vec(np.int64(u), np.int64(v)), ctx.sub_i(u, v))):
+                assert type(out) is np.ndarray and out.ndim == 0 and out.dtype == np.int64 and int(out) == want
 
 
 def test_frob_vec_keeps_zero_over_f2():

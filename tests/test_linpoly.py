@@ -3,9 +3,10 @@ kernel dimensions and composition."""
 
 import random
 
+import numpy as np
 import pytest
 
-from scatterpoly import gf, linpoly as lp
+from scatterpoly import curve as cv, gf, linpoly as lp
 
 
 def test_evaluate_examples():
@@ -39,6 +40,39 @@ def test_evaluate_context_mismatch():
     f = lp.QPoly(f8, [1])
     with pytest.raises(gf.ContextMismatch):
         lp.evaluate(f, gf.make_field(2, 1, 4).one)
+
+
+def test_one_coefficient_rule():
+    # FieldCtx.enc is the one rule behind every polynomial and element taker:
+    # an element of another field raises, an element of an equal but
+    # separately built field is accepted, and an int is reduced mod the order
+    f8 = gf.make_field(2, 1, 3)
+    twin = gf.FieldCtx(2, 1, 3)
+    x = twin.elem(5)
+    foreign = gf.make_field(2, 1, 4).gen ** 3  # encoding 8, no element of F_8
+    phi = gf.embed(f8, gf.make_field(2, 1, 6))
+    takers = [
+        (lambda c: lp.QPoly(f8, [c]).encs[0], 5),
+        (lambda c: cv.UnivarPoly(f8, [c]).coeffs[0], 5),
+        (lambda c: cv.UnivarPoly(f8, [1]).scale(c).coeffs[0], 5),
+        (lambda c: cv.BivarPoly(f8, {(1, 0): c}).terms[(1, 0)], 5),
+        (lambda c: f8.elem(c).val, 5),
+        (lambda c: lp.evaluate(lp.QPoly(f8, [1]), c).val, 5),
+        (lambda c: phi(c).val, phi.map_enc(5)),
+    ]
+    for take, want in takers:
+        with pytest.raises(gf.ContextMismatch):
+            take(foreign)
+        assert take(x) == want
+    for build in (lambda c: lp.QPoly(f8, [c]).encs, lambda c: lp.QPoly.from_encs(f8, [c]).encs,
+                  lambda c: cv.UnivarPoly(f8, [c]).coeffs,
+                  lambda c: tuple(cv.BivarPoly(f8, {(0, 0): c}).terms.values())):
+        assert build(9) == (1,) and build(-1) == (7,) and build(8) == ()
+    assert lp.evaluate_vec(lp.QPoly.from_encs(f8, [9]), np.arange(8)).tolist() == list(range(8))
+    f = lp.QPoly(f8, [3, x, 0, 9, 0])
+    assert f.encs == (3, 5, 0, 1)
+    assert all(type(c) is gf.FFElt and c.ctx is f8 for c in f.coeffs)
+    assert tuple(c.val for c in f.coeffs) == f.encs
 
 
 def test_normalize_shift_exceeds_index():
