@@ -8,14 +8,17 @@ Field arguments accept "p^e^d" (canonical modulus) or "p^e^d:c0,c1,...,cN"
 (explicit modulus, constant term first).  q-polynomials are written
 "c_0;c_1;...;c_k" with each coefficient a comma-separated coordinate vector
 over F_p.  Reports are JSON (default) or CSV, byte-identical across runs for
-the same configuration and seed; exit codes are 0 for success (scatter-test:
-scattered), 2 for a negative scatter verdict and 1 for errors, each reported as
-one "error: ..." line on stderr.
+the same configuration and seed.  A CSV table is cut from the JSON report and
+written by csv.writer, which quotes a cell holding a comma.  Exit codes are 0
+for success (scatter-test: scattered), 2 for a negative scatter verdict and 1
+for errors, usage errors included, each reported as one "error: ..." line on
+stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import json
 import sys
@@ -31,6 +34,13 @@ from .linpoly import QPoly
 
 class CLIError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise CLIError, so they reach main's one error line."""
+
+    def error(self, message):
+        raise CLIError(message)
 
 
 def parse_field(spec: str) -> FieldCtx:
@@ -79,6 +89,8 @@ def parse_curve(ctx: FieldCtx, text: str) -> cv.BivarPoly:
             i, j = (int(x) for x in head.split(","))
         except ValueError:
             raise CLIError(f"bad curve term {part!r}") from None
+        if (i, j) in terms:
+            raise CLIError(f"curve term {i},{j} is given twice")
         terms[(i, j)] = parse_elt(ctx, lit)
     return cv.BivarPoly(ctx, terms)
 
@@ -101,20 +113,32 @@ def render_curve(f_poly: cv.BivarPoly) -> str:
 
 
 def render_witness(witness):
-    if witness is None:
-        return None
-    return [render_elt(witness[0]), render_elt(witness[1])]
+    return None if witness is None else [render_elt(w) for w in witness]
 
 
-def _emit(report: dict, csv_rows, args) -> None:
+def _table(header, *records):
+    """`header` over one row per report record; a record's witness [x, y]
+    fills the witness_x and witness_y columns."""
+    rows = [header]
+    for rec in records:
+        cells = dict(rec)
+        cells["witness_x"], cells["witness_y"] = rec.get("witness") or (None, None)
+        rows.append([cells[k] for k in header])
+    return rows
+
+
+def _terms_table(terms: str):
+    """The (i, j, coeff) rows of a nonzero curve rendered as "i,j:coeff;..."."""
+    parts = (t.partition(":") for t in terms.split(";"))
+    return [["i", "j", "coeff"]] + [[*head.split(","), coeff] for head, _, coeff in parts]
+
+
+def _emit(report: dict, table, args) -> None:
     if args.format == "json":
         text = json.dumps(report, sort_keys=True) + "\n"
     else:
         buf = io.StringIO()
-        header, rows = csv_rows
-        buf.write(",".join(header) + "\n")
-        for row in rows:
-            buf.write(",".join("" if v is None else str(v) for v in row) + "\n")
+        csv.writer(buf, lineterminator="\n").writerows(table)
         text = buf.getvalue()
     if args.out:
         with open(args.out, "w") as fh:
@@ -127,7 +151,6 @@ def _emit(report: dict, csv_rows, args) -> None:
 
 def _cmd_field_info(args):
     ctx = parse_field(args.field)
-    sub = render_elt(ctx.subfield_gen) if ctx.d > 1 else None
     report = {
         "p": ctx.p,
         "e": ctx.e,
@@ -135,123 +158,74 @@ def _cmd_field_info(args):
         "q": ctx.q,
         "order": ctx.order,
         "modulus": ",".join(str(c) for c in ctx.modulus),
-        "subfield_gen": sub,
+        "subfield_gen": render_elt(ctx.subfield_gen) if ctx.d > 1 else None,
     }
-    header = ["p", "e", "d", "q", "order", "modulus", "subfield_gen"]
-    rows = [[ctx.p, ctx.e, ctx.d, ctx.q, ctx.order,
-             '"' + report["modulus"] + '"', sub]]
-    return 0, report, (header, rows)
+    return 0, report, _table(["p", "e", "d", "q", "order", "modulus", "subfield_gen"], report)
 
 
 def _scatter_common(args):
-    """Field, q-polynomial and index of a --f command; the index lies in [0, d)."""
+    """Field and q-polynomial of a --f command, with the report head
+    {"field", "f", "t"}; the index lies in [0, d)."""
     ctx = parse_field(args.field)
     f = parse_qpoly(ctx, args.f)
     if args.t < 0 or args.t >= ctx.d:
         raise CLIError(f"--t must lie in [0, {ctx.d})")
-    return ctx, f, args.t
+    return ctx, f, {"field": args.field, "f": render_qpoly(f), "t": args.t}
 
 
-def _cmd_scatter_test(args):
-    ctx, f, t = _scatter_common(args)
-    verdict, rep = sc.scatter_report(f, t, args.ceiling)
-    report = {
-        "field": args.field,
-        "f": render_qpoly(f),
-        "t": t,
-        "scattered": verdict.scattered,
-        "witness": render_witness(verdict.witness),
-    }
-    report["size"] = rep.size
-    report["max_weight"] = rep.max_weight
-    report["weight_spectrum"] = {str(w): c for w, c in sorted(rep.weight_spectrum.items())}
-    header = ["field", "t", "f", "scattered", "witness_x", "witness_y", "size", "max_weight"]
-    wx, wy = (report["witness"] or [None, None])
-    rows = [[args.field, t, f'"{report["f"]}"', verdict.scattered, wx, wy, rep.size, rep.max_weight]]
-    return (0 if verdict.scattered else 2), report, (header, rows)
-
-
-def _cmd_linear_set(args):
-    ctx, f, t = _scatter_common(args)
-    rep = sc.linear_set_report_raw(f, t, args.ceiling)
-    report = {
-        "field": args.field,
-        "f": render_qpoly(f),
-        "t": t,
+def _spectrum_fields(rep) -> dict:
+    return {
         "size": rep.size,
         "max_weight": rep.max_weight,
         "weight_spectrum": {str(w): c for w, c in sorted(rep.weight_spectrum.items())},
     }
-    header = ["weight", "points"]
-    rows = [[w, c] for w, c in sorted(rep.weight_spectrum.items())]
-    return 0, report, (header, rows)
+
+
+def _cmd_scatter_test(args):
+    _, f, report = _scatter_common(args)
+    verdict, rep = sc.scatter_report(f, args.t, args.ceiling)
+    report.update(_spectrum_fields(rep), scattered=verdict.scattered,
+                  witness=render_witness(verdict.witness))
+    header = ["field", "t", "f", "scattered", "witness_x", "witness_y", "size", "max_weight"]
+    return (0 if verdict.scattered else 2), report, _table(header, report)
+
+
+def _cmd_linear_set(args):
+    _, f, report = _scatter_common(args)
+    report.update(_spectrum_fields(sc.linear_set_report_raw(f, args.t, args.ceiling)))
+    return 0, report, [["weight", "points"], *report["weight_spectrum"].items()]
 
 
 def _cmd_scan(args):
-    ctx, f, t = _scatter_common(args)
+    _, f, report = _scatter_common(args)
     if args.m_max < 1:
         raise CLIError("--m-max must be at least 1")
-    entries = sc.scan_extensions(f, t, range(1, args.m_max + 1), args.ceiling)
-    ents = []
-    failed_at = None
-    for entry in entries:
-        rec = {"m": entry.m}
-        if entry.verdict is None:
-            rec["skipped"] = entry.skipped
-            rec["scattered"] = None
-            rec["witness"] = None
-        else:
-            rec["skipped"] = None
-            rec["scattered"] = entry.verdict.scattered
-            rec["witness"] = render_witness(entry.verdict.witness)
-            if not entry.verdict.scattered and failed_at is None:
-                failed_at = entry.m
-        ents.append(rec)
-    if failed_at is not None:
-        summary = f"non-exceptional (failed at m={failed_at})"
-    else:
-        summary = f"scattered up to horizon {args.m_max}"
-    report = {
-        "field": args.field,
-        "f": render_qpoly(f),
-        "t": t,
-        "m_max": args.m_max,
-        "entries": ents,
-        "summary": summary,
-    }
-    header = ["m", "scattered", "witness_x", "witness_y", "skipped"]
-    rows = []
-    for rec in ents:
-        wx, wy = (rec["witness"] or [None, None])
-        rows.append([rec["m"], rec["scattered"], wx, wy, rec["skipped"]])
-    return 0, report, (header, rows)
+    entries = sc.scan_extensions(f, args.t, range(1, args.m_max + 1), args.ceiling)
+    # a skipped entry has no verdict, so its scattered and witness are None
+    ents = [{"m": e.m, "skipped": e.skipped,
+             "scattered": e.verdict and e.verdict.scattered,
+             "witness": render_witness(e.verdict and e.verdict.witness)} for e in entries]
+    failed_at = next((e["m"] for e in ents if e["scattered"] is False), None)
+    summary = (f"scattered up to horizon {args.m_max}" if failed_at is None
+               else f"non-exceptional (failed at m={failed_at})")
+    report.update(m_max=args.m_max, entries=ents, summary=summary)
+    return 0, report, _table(["m", "scattered", "witness_x", "witness_y", "skipped"], *ents)
 
 
 def _cmd_mrd_check(args):
-    ctx, f, t = _scatter_common(args)
-    spec = rk.CodeSpec(ctx, t, f)
-    rep = rk.min_distance(spec, args.ceiling)
-    report = {
-        "field": args.field,
-        "f": render_qpoly(f),
-        "t": t,
-        "n": ctx.d,
-        "q": ctx.q,
-        "d": rep.min_distance,
-        "mrd": rep.is_mrd,
-        "code_size": rep.code_size,
-        "kernel_histogram": {str(k): v for k, v in sorted(rep.kernel_histogram.items())},
-    }
-    header = ["kernel_dim", "codewords"]
-    rows = [[k, v] for k, v in sorted(rep.kernel_histogram.items())]
-    return 0, report, (header, rows)
+    ctx, f, report = _scatter_common(args)
+    rep = rk.min_distance(rk.CodeSpec(ctx, args.t, f), args.ceiling)
+    hist = {str(k): v for k, v in sorted(rep.kernel_histogram.items())}
+    report.update(n=ctx.d, q=ctx.q, d=rep.min_distance, mrd=rep.is_mrd,
+                  code_size=rep.code_size, kernel_histogram=hist)
+    return 0, report, [["kernel_dim", "codewords"], *report["kernel_histogram"].items()]
 
 
 def _get_curve(args):
     """The curve of --curve, or else the scatter curve of --f/--t, with its field."""
     if args.f and not args.curve:
-        ctx, f, t = _scatter_common(args)
-        return ctx, cv.build_scatter_curve(f, t)
+        ctx, f, _ = _scatter_common(args)
+        return ctx, cv.build_scatter_curve(f, args.t)
     ctx = parse_field(args.field)
     if not args.curve:
         raise CLIError("provide --f/--t for a scatter curve or --curve for raw terms")
@@ -259,18 +233,10 @@ def _get_curve(args):
 
 
 def _cmd_curve_build(args):
-    ctx, f, t = _scatter_common(args)
-    c = cv.build_scatter_curve(f, t)
-    report = {
-        "field": args.field,
-        "f": render_qpoly(f),
-        "t": t,
-        "degree": c.degree(),
-        "terms": render_curve(c),
-    }
-    header = ["i", "j", "coeff"]
-    rows = [[i, j, f'"{render_elt(ctx.elem(cc))}"'] for (i, j), cc in c.sorted_terms()]
-    return 0, report, (header, rows)
+    _, f, report = _scatter_common(args)
+    c = cv.build_scatter_curve(f, args.t)
+    report.update(degree=c.degree(), terms=render_curve(c))
+    return 0, report, _terms_table(report["terms"])
 
 
 def _ext_field(ctx: FieldCtx, args) -> FieldCtx:
@@ -293,25 +259,20 @@ def _cmd_curve_points(args):
         "count": res.count,
         "witness": render_witness(res.witness),
     }
-    wx, wy = (report["witness"] or [None, None])
-    header = ["ext", "predicate", "count", "witness_x", "witness_y"]
-    return 0, report, (header, [[args.ext, pred, res.count, wx, wy]])
+    return 0, report, _table(["ext", "predicate", "count", "witness_x", "witness_y"], report)
 
 
 def _cmd_curve_infinity(args):
     ctx, c = _get_curve(args)
     ext = _ext_field(ctx, args)
     pts = cv.points_at_infinity(c, ext, args.ceiling)
-    rendered = [":".join(render_elt(coord) for coord in p) for p in pts]
     report = {
         "field": args.field,
         "ext": args.ext,
         "count": len(pts),
-        "points": rendered,
+        "points": [":".join(render_elt(coord) for coord in p) for p in pts],
     }
-    header = ["x", "y", "z"]
-    rows = [[render_elt(p[0]), render_elt(p[1]), render_elt(p[2])] for p in pts]
-    return 0, report, (header, rows)
+    return 0, report, [["x", "y", "z"], *(p.split(":") for p in report["points"])]
 
 
 def _cmd_curve_multiplicity(args):
@@ -325,16 +286,14 @@ def _cmd_curve_multiplicity(args):
         "field": args.field,
         "point": [render_elt(u), render_elt(v)],
         "multiplicity": m,
-        "tangent_cone": render_curve(cone) if not cone.is_zero() else "",
+        "tangent_cone": render_curve(cone),
         "ordinary": cv.is_ordinary(cone) if m >= 1 else None,
     }
-    header = ["multiplicity", "ordinary", "tangent_cone"]
-    rows = [[m, report["ordinary"], f'"{report["tangent_cone"]}"']]
-    return 0, report, (header, rows)
+    return 0, report, _table(["multiplicity", "ordinary", "tangent_cone"], report)
 
 
 def _cmd_curve_transform(args):
-    ctx, out = _get_curve(args)
+    _, out = _get_curve(args)
     if args.repeat < 1:
         raise CLIError("--repeat must be at least 1")
     # each transform touches every term once
@@ -347,9 +306,7 @@ def _cmd_curve_transform(args):
         "degree": out.degree(),
         "terms": render_curve(out),
     }
-    header = ["i", "j", "coeff"]
-    rows = [[i, j, f'"{render_elt(ctx.elem(cc))}"'] for (i, j), cc in out.sorted_terms()]
-    return 0, report, (header, rows)
+    return 0, report, _terms_table(report["terms"])
 
 
 def _cmd_curve_branch(args):
@@ -358,15 +315,12 @@ def _cmd_curve_branch(args):
         raise CLIError("--terms must be at least 1")
     # the expansion costs about terms^2 * deg_Y field operations
     gf.check_ceiling(args.terms ** 2 * c.deg_y(), args.ceiling)
-    coeffs = cv.branch_series(c, args.terms)
     report = {
         "field": args.field,
         "terms": args.terms,
-        "coefficients": [render_elt(x) for x in coeffs],
+        "coefficients": [render_elt(x) for x in cv.branch_series(c, args.terms)],
     }
-    header = ["k", "coeff"]
-    rows = [[k + 1, f'"{render_elt(x)}"'] for k, x in enumerate(coeffs)]
-    return 0, report, (header, rows)
+    return 0, report, [["k", "coeff"], *enumerate(report["coefficients"], 1)]
 
 
 def _cmd_verify(args):
@@ -383,15 +337,15 @@ def _cmd_verify(args):
         "failures": result.failures,
         "details": {k: v for k, v in sorted(result.details.items())},
     }
-    header = ["suite", "passed", "checks", "failures"]
-    rows = [[result.name, result.passed, result.checks, len(result.failures)]]
-    return (0 if result.passed else 1), report, (header, rows)
+    table = [["suite", "passed", "checks", "failures"],
+             [result.name, result.passed, result.checks, len(result.failures)]]
+    return (0 if result.passed else 1), report, table
 
 
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="scatterpoly", description=__doc__)
+    ap = _Parser(prog="scatterpoly", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     def command(name, fn, help, f=None):
@@ -440,14 +394,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code else 0
-    try:
         if args.ceiling is not None and args.ceiling <= 0:
             raise CLIError("--ceiling must be positive")
-        code, report, csv_rows = args.fn(args)
+        code, report, table = args.fn(args)
         report["seed"] = args.seed
-        _emit(report, csv_rows, args)
+        _emit(report, table, args)
+    except SystemExit:
+        # usage errors raise CLIError, so only --help exits the parser
+        return 0
     except (CLIError, FieldError, ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

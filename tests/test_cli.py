@@ -1,5 +1,7 @@
 """Command-line surface: exit codes, report schemas, determinism."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -225,7 +227,15 @@ def test_reports_match_golden_bytes(case, capsys):
     ("curve-branch", "--field", "3^1^1", "--curve", "0,1:1;2,0:2", "--terms", "100000"),
     ("curve-transform", "--field", "2^1^2", "--curve", "0,1:1", "--repeat", "100000000"),
     ("curve-transform", "--field", "2^1^2", "--curve", "0,1:1", "--repeat", "-3"),
-], ids=" ".join)
+    ("curve-transform", "--field", "3^1^2", "--curve", "0,1:1;0,1:1"),
+    # usage errors from the argument parser
+    ("scatter-test", "--field", "2^1^3"),
+    ("scatter-test", "--field", "2^1^3", "--f", "0;1", "--t", "x"),
+    ("field-info", "--field", "2^1^3", "--format", "xml"),
+    ("field-info", "--field", "2^1^3", "--bogus"),
+    ("nosuch",),
+    (),
+], ids=lambda argv: " ".join(argv) or "no arguments")
 def test_bad_input_is_one_error_line(argv, tmp_path, capsys):
     argv = [a.replace("{missing}", str(tmp_path / "missing")) for a in argv]
     start = time.perf_counter()
@@ -234,6 +244,60 @@ def test_bad_input_is_one_error_line(argv, tmp_path, capsys):
     assert time.perf_counter() - start < 5
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_help_prints_usage(capsys):
+    for argv in (["--help"], ["scan", "--help"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out.startswith("usage: scatterpoly")
+
+
+@pytest.mark.parametrize("argv", [
+    ["scatter-test", "--field", "2^1^3", "--f", "0;1"],
+    ["scatter-test", "--field", "2^1^4", "--f", "0;0;1"],
+    ["field-info", "--field", "2^1"],
+    ["field-info"],
+], ids=" ".join)
+def test_console_exit_code_is_mains(argv, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["scatterpoly", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.console()
+    assert exc.value.code == cli.main(argv)
+
+
+@pytest.mark.parametrize(
+    "case", [c for c in GOLDEN if "csv" in c["argv"] and c["code"] != 1],
+    ids=lambda c: " ".join(c["argv"]),
+)
+def test_csv_tables_match_json_reports(case, capsys):
+    argv = case["argv"]
+    _, out, _ = run(capsys, *argv)
+    header, *rows = csv.reader(io.StringIO(out))
+    assert rows and all(len(row) == len(header) for row in rows)
+    _, out, _ = run(capsys, *[("json" if a == "csv" else a) for a in argv])
+    rep = json.loads(out)
+    command = argv[0]
+    if command in ("field-info", "scatter-test", "curve-points", "curve-multiplicity", "scan"):
+        records = rep["entries"] if command == "scan" else [rep]
+        assert len(rows) == len(records)
+        for row, rec in zip(rows, records):
+            rec = dict(rec)
+            rec["witness_x"], rec["witness_y"] = rec.get("witness") or (None, None)
+            assert row == ["" if rec[k] is None else str(rec[k]) for k in header]
+    elif command in ("linear-set", "mrd-check"):
+        counts = rep["weight_spectrum" if command == "linear-set" else "kernel_histogram"]
+        assert rows == [[k, str(v)] for k, v in counts.items()]
+    elif command == "curve-infinity":
+        assert [":".join(row) for row in rows] == rep["points"]
+    elif command == "curve-branch":
+        assert rows == [[str(k), c] for k, c in enumerate(rep["coefficients"], 1)]
+    elif command in ("curve-build", "curve-transform"):
+        assert ";".join(f"{i},{j}:{c}" for i, j, c in rows) == rep["terms"]
+    else:
+        assert command == "verify"
+        assert rows == [[rep["suite"], str(rep["passed"]), str(rep["checks"]),
+                         str(len(rep["failures"]))]]
 
 
 def test_scan_far_horizon_reports_skips(capsys):
