@@ -21,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 
 from . import curve as cv
@@ -37,7 +38,13 @@ class CLIError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors raise CLIError, so they reach main's one error line."""
+    """Usage errors raise CLIError, so they reach main's one error line.  An
+    argument that begins with '-' and a digit, such as "-1;0", is a value and
+    not an option, as it is in "--point=-1;0"."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\d")
 
     def error(self, message):
         raise CLIError(message)

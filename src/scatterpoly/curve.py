@@ -606,17 +606,18 @@ def _poly_det_bareiss(ctx: FieldCtx, m) -> UnivarPoly:
 
 
 def hasse_weil_gap(f_poly: BivarPoly, ext: FieldCtx | None = None, ceiling=None):
-    """Projective point count over `ext`, the gap |count - |ext| - 1| and the
-    bound (d-1)(d-2)sqrt(|ext|).  The caller decides whether the bound
-    applies; it only does for absolutely irreducible curves."""
+    """Projective point count over `ext`, the gap |count - |ext| - 1|, the
+    bound (d-1)(d-2)sqrt(|ext|), then the affine and infinity counts that sum
+    to the first.  The caller decides whether the bound applies; it only does
+    for absolutely irreducible curves."""
     ext = ext or f_poly.ctx
-    affine = count_affine(f_poly, ext, "all", ceiling=ceiling)
-    inf = points_at_infinity(f_poly, ext, ceiling=ceiling)
-    total = affine.count + len(inf)
+    affine = count_affine(f_poly, ext, "all", ceiling=ceiling).count
+    infinity = len(points_at_infinity(f_poly, ext, ceiling=ceiling))
+    total = affine + infinity
     gap = abs(total - ext.order - 1)
     d = f_poly.degree()
     bound = (d - 1) * (d - 2) * math.sqrt(ext.order)
-    return total, gap, bound
+    return total, gap, bound, affine, infinity
 
 
 def line_restriction(f: QPoly, t: int, u, curve: BivarPoly | None = None) -> UnivarPoly:

@@ -28,12 +28,12 @@ class QPoly:
 
     __slots__ = ("ctx", "encs")
 
-    def __init__(self, ctx: FieldCtx, coeffs, degree_ceiling: int = DEFAULT_DEGREE_CEILING):
+    def __init__(self, ctx: FieldCtx, coeffs):
         cs = [ctx.enc(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        if len(cs) > degree_ceiling:
-            raise FieldError(f"q-degree {len(cs) - 1} exceeds the ceiling {degree_ceiling}")
+        if len(cs) - 1 > DEFAULT_DEGREE_CEILING:
+            raise FieldError(f"q-degree {len(cs) - 1} exceeds the ceiling {DEFAULT_DEGREE_CEILING}")
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "encs", tuple(cs))
 

@@ -117,9 +117,8 @@ def _suite_instances(*names):
     seen = set()
     for name in names:
         for rec in suites.run_suite(name).instances:
-            key = (rec.p, rec.e, rec.d, rec.coeffs, rec.t)
-            if key not in seen:
-                seen.add(key)
+            if rec not in seen:
+                seen.add(rec)
                 yield rec
 def test_criterion_13_curve_bridge():
     """The affine curve has a point with y/x outside F_q exactly when the
@@ -127,7 +126,8 @@ def test_criterion_13_curve_bridge():
     fits the audit budget."""
     audited = 0
     for rec in _suite_instances("monomial-law", "family-13", "corollary38"):
-        ctx, f, t = rec.realize()
+        f, t = rec
+        ctx = f.ctx
         if ctx.order > GRID_AUDIT_MAX_ORDER:
             continue
         verdict = sc.scatter_test(f, t)
@@ -147,7 +147,7 @@ def test_criterion_14_tester_self_consistency():
     for rec in _suite_instances(
         "monomial-law", "family-13", "corollary38", "bridge", "theorem34-soundness"
     ):
-        ctx, f, t = rec.realize()
+        f, t = rec
         assert sc.scatter_test(f, t).scattered == sc.scatter_test_kernel(f, t), rec
         checked += 1
     assert checked > 1500

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from scatterpoly import cli
+from scatterpoly import cli, scattered as sc, suites
 
 GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
 
@@ -233,6 +233,7 @@ def test_reports_match_golden_bytes(case, capsys):
     ("scatter-test", "--field", "2^1^3", "--f", "0;1", "--t", "x"),
     ("field-info", "--field", "2^1^3", "--format", "xml"),
     ("field-info", "--field", "2^1^3", "--bogus"),
+    ("curve-multiplicity", "--field", "3^1^2", "--curve", "0,1:1;2,0:2", "--point", "--f", "1"),
     ("nosuch",),
     (),
 ], ids=lambda argv: " ".join(argv) or "no arguments")
@@ -244,6 +245,30 @@ def test_bad_input_is_one_error_line(argv, tmp_path, capsys):
     assert time.perf_counter() - start < 5
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("curve-multiplicity", "--field", "3^1^2", "--curve", "0,1:1;2,0:2", "--point", "-1;0"),
+    ("scatter-test", "--field", "3^1^3", "--f", "-1;1"),
+    ("scan", "--field", "3^1^2", "--f", "-1,1;1", "--m-max", "-1"),
+], ids=" ".join)
+def test_values_that_begin_with_a_dash(argv, capsys):
+    # "--opt -1;0" reads as "--opt=-1;0"
+    joined = [*argv[:-2], f"{argv[-2]}={argv[-1]}"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == run(capsys, *joined)
+    assert out or err.count("\n") == 1
+
+
+def test_failing_campaign_reports_every_failure(monkeypatch, capsys):
+    table = sc.inequality_case_table
+    monkeypatch.setattr(suites, "_MEMO", {})
+    monkeypatch.setattr(sc, "inequality_case_table", lambda q, k, i: not table(q, k, i))
+    code, out, _ = run(capsys, "verify", "remark32")
+    rep = json.loads(out)
+    assert code == 1 and rep["passed"] is False
+    assert rep["checks"] == 196 and len(rep["failures"]) == 196
+    assert all(f.startswith("q=") and " k=" in f and " i=" in f for f in rep["failures"])
 
 
 def test_help_prints_usage(capsys):

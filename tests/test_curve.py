@@ -4,11 +4,12 @@ multiplicities, transforms, branch series, resultants and gap audits."""
 import itertools
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scatterpoly import curve as cv, gf, linpoly as lp, scattered as sc
+from scatterpoly import curve as cv, gf, linpoly as lp, scattered as sc, suites
 
 
 def B(ctx, terms):
@@ -508,13 +509,29 @@ def test_resultant_requires_positive_y_degree():
 def test_hasse_weil_gap_examples():
     f27 = gf.make_field(3, 1, 3)
     line = B(f27, {(0, 1): 1, (1, 0): f27.neg_i(5)})
-    total, gap, bound = cv.hasse_weil_gap(line)
+    total, gap, bound, affine, infinity = cv.hasse_weil_gap(line)
     assert total == 27 + 1 and gap == 0 and bound == 0.0
+    assert affine + infinity == total
     # reducible conic over F_4: computed, not asserted against the bound
     f4 = gf.make_field(2, 1, 2)
     conic = B(f4, {(2, 0): 1, (1, 1): 1, (0, 2): 1})
-    total, gap, bound = cv.hasse_weil_gap(conic)
+    total, gap, bound, affine, infinity = cv.hasse_weil_gap(conic)
     assert total == 2 * 4 + 1  # two lines through the origin, one shared point
+    assert affine + infinity == total
+
+
+def test_hasse_weil_suite_counts_infinity_once_per_curve(monkeypatch):
+    calls = Counter()
+    count = cv.points_at_infinity
+
+    def counted(f_poly, *args, **kwargs):
+        calls[f_poly] += 1
+        return count(f_poly, *args, **kwargs)
+
+    monkeypatch.setattr(cv, "points_at_infinity", counted)
+    res = suites.run_hasse_weil()
+    assert res.passed and res.checks == 128
+    assert len(calls) == 128 and set(calls.values()) == {1}
 
 
 def test_line_restriction():

@@ -218,4 +218,5 @@ def test_compose_evaluates_and_matrices_multiply():
 def test_degree_ceiling():
     f8 = gf.make_field(2, 1, 3)
     with pytest.raises(gf.FieldError):
-        lp.QPoly(f8, [1] * 40, degree_ceiling=16)
+        lp.QPoly(f8, [1] * (lp.DEFAULT_DEGREE_CEILING + 2))
+    assert lp.QPoly(f8, [1] * (lp.DEFAULT_DEGREE_CEILING + 1)).qdegree() == lp.DEFAULT_DEGREE_CEILING
