@@ -5,8 +5,9 @@ elements has every fiber of size exactly q - 1, equivalently when every map
 c*X^(q^t) - f(X) has kernel of F_q-dimension at most 1.  Both routes are
 implemented: a fiber-bucketing scan (primary, produces witnesses) and a
 kernel-dimension sweep over the scalars c (batched Gaussian elimination over
-F_p, the package's one bulk kernel engine).  They must agree; small instances
-are cross-checked inline.
+F_p, the package's one bulk kernel engine: bit-packed rows for p = 2 and
+p = 3, digit arrays for larger p).  They must agree; small instances are
+cross-checked inline.
 
 The sweep ranks one scalar per orbit.  With mu a nonzero coefficient of f and
 r the least divisor of N = e*d for which tau(x) = x^(p^r) fixes every f_i/mu,
@@ -109,21 +110,20 @@ def _fiber_verdict(ctx: FieldCtx, xs, ratios, counts) -> ScatterVerdict:
     raise FieldError("internal error: fat fiber without an off-line mate")
 
 
-def _batch_rank_modp(a: np.ndarray, p: int) -> np.ndarray:
-    """Ranks of a batch of square matrices over F_p.
+def _batch_rank_modp(a: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Ranks of a batch of square matrices over F_p, p = len(inv).
 
     The layout is (rows, cols, batch) so every kernel runs on contiguous
-    batch slices; `a` holds reduced entries in [0, p), in a dtype that holds
-    (p-1)^2, and is consumed.  Row order is tracked with a used-mask.
+    batch slices; `a` holds reduced entries in [0, p) and is consumed.  Its
+    signed dtype must hold -p(p-1): a row update reaches -(p-1)^2, and
+    reducing x as x - p*floor(x/p) passes through -p(p-1).  `inv` holds the
+    inverses mod p in the same dtype (inv[0] = 0).  Row order is tracked
+    with a used-mask.
     """
     n, _, nb = a.shape
-    inv_arr = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=a.dtype)
+    p = len(inv)
     used = np.zeros((n, nb), dtype=bool)
     rank = np.zeros(nb, dtype=np.int64)
-    # after a subtraction entries sit in [-(p-1)^2, p-1]; each round of
-    # `x -= p * (x >> sign_shift)` adds p to the negative ones
-    fix_rounds = 1 if p == 2 else ((p - 1) ** 2 + p - 1) // p
-    sign_shift = 8 * a.itemsize - 1
     w = np.zeros((n, nb), dtype=a.dtype)
     for col in range(n):
         found = np.zeros(nb, dtype=bool)
@@ -138,18 +138,152 @@ def _batch_rank_modp(a: np.ndarray, p: int) -> np.ndarray:
             continue
         tail = slice(col, n)
         for r in range(n):
-            np.multiply(inv_arr[a[r, col]], pivot_mask[r], out=w[r])
+            np.multiply(inv[a[r, col]], pivot_mask[r], out=w[r])
         # w is nonzero on the pivot row only, so each sum is one product <= (p-1)^2
-        pivn = np.einsum("rcb,rb->cb", a[:, tail, :], w, dtype=a.dtype) % p
+        pivn = np.einsum("rcb,rb->cb", a[:, tail, :], w, dtype=a.dtype)
+        pivn -= pivn // p * p
         for r in range(n):
             fac = a[r, col] * ~used[r]
             if not fac.any():
                 continue
             at = a[r, tail, :]
             at -= fac[None, :] * pivn
-            for _ in range(fix_rounds):
-                at -= p * (at >> sign_shift)
+            # floor division by a scalar is several times faster than
+            # np.remainder on these dtypes
+            at -= at // p * p
     return rank
+
+
+def _rank_f2(rows: np.ndarray, n: int) -> np.ndarray:
+    """Ranks over F_2 of a batch of n x n matrices given as an (n, batch)
+    array of unsigned row bitmasks, bit j of row i being entry (i, j).  The
+    rows are consumed.
+
+    Columns are cleared from the highest down.  Once every column above
+    `col` is clear, a row has bit `col` exactly when it is at least 2^col, so
+    the largest row is a pivot whenever there is one; XORing it into every
+    row that has the bit, itself included, clears the column.  The rows move
+    to a narrower word as soon as the columns left fit in one."""
+    rank = np.zeros(rows.shape[1], dtype=np.int64)
+    for col in reversed(range(n)):
+        word = np.min_scalar_type((1 << (col + 1)) - 1)
+        if col == n - 1 or word != rows.dtype:
+            rows = rows.astype(word, copy=False)
+            mask = np.empty_like(rows)
+        piv = rows.max(axis=0)
+        np.right_shift(rows, col, out=mask)  # 1 on the rows with the bit, else 0
+        np.negative(mask, out=mask)  # all ones on those rows
+        mask &= piv
+        rows ^= mask
+        rank += piv >> col
+    return rank
+
+
+def _f3_add_to(xl, xh, yl, yh, t) -> None:
+    """x += y over F_3, entrywise on bit planes, in 7 word ops:
+    t = (xl | yh) ^ (xh | yl), zl = (xh | yh) ^ t, zh = (xl | yl) ^ t.
+    yh and t are overwritten."""
+    np.bitwise_or(xl, yh, out=t)
+    yh |= xh
+    np.bitwise_or(xh, yl, out=xh)
+    t ^= xh
+    np.bitwise_or(xl, yl, out=xh)
+    np.bitwise_xor(yh, t, out=xl)
+    xh ^= t
+
+
+def _rank_f3(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """Ranks over F_3 of a batch of n x n matrices in two bit planes of
+    shape (n, batch): bit j of lo[i] (of hi[i]) is set when entry (i, j) is
+    1 (is 2).  Both planes are consumed.
+
+    Negation swaps the planes.  Columns are cleared from the highest down.
+    The rows with a 2 in column `col` are negated first, so a row is nonzero
+    there exactly when its lo is at least 2^col, and the row largest in
+    (lo, hi) is a pivot whenever there is one; subtracting it from every row
+    with a 1 there, itself included, clears the column.  As in _rank_f2 the
+    planes move to a narrower word as soon as the columns left fit in one."""
+    rank = np.zeros(lo.shape[1], dtype=np.int64)
+    for col in reversed(range(n)):
+        word = np.min_scalar_type((1 << (col + 1)) - 1)
+        if col == n - 1 or word != lo.dtype:
+            lo, hi = lo.astype(word, copy=False), hi.astype(word, copy=False)
+            m, yl, yh, t = (np.empty_like(lo) for _ in range(4))
+            width = 8 * word.itemsize
+            key = np.empty(lo.shape, dtype=f"u{2 * word.itemsize}")  # (lo, hi) side by side
+        np.right_shift(hi, col, out=m)
+        np.negative(m, out=m)  # all ones on the rows with a 2 in the column
+        np.bitwise_xor(lo, hi, out=t)
+        t &= m
+        lo ^= t  # swap the planes of those rows
+        hi ^= t
+        np.left_shift(lo, width, out=key, dtype=key.dtype)
+        key |= hi
+        piv = key.max(axis=0)
+        pl, ph = (piv >> width).astype(word), piv.astype(word)
+        rank += pl >> col
+        np.right_shift(lo, col, out=m)
+        np.negative(m, out=m)  # all ones on the rows with a 1 in the column
+        np.bitwise_and(ph, m, out=yl)  # minus the pivot on those rows, 0 elsewhere
+        np.bitwise_and(pl, m, out=yh)
+        _f3_add_to(lo, hi, yl, yh, t)
+    return rank
+
+
+def _sweep_ranker(f: QPoly, t: int):
+    """The rank function of the kernel sweep of (f, t): it maps a batch of
+    scalars c to the F_p-ranks of the maps c*X^(q^t) - f.  On the power
+    basis b_i = g^i (encoded p^i), column i of the matrix of c is the
+    encoding of c*h_i - f(b_i), h_i = b_i^(q^t).
+
+    p = 2 and p = 3 rank the transposed matrices, whose rows are those
+    encodings, bit-packed (_rank_f2, _rank_f3).  The rows are linear in the
+    base-p digits of c: with c = v + p^k w, k = ceil(N/2), row i is
+    (v*h_i - f(b_i)) + (p^k w)*h_i.  Both terms are looked up in tables of
+    p^k and p^(N-k) rows, built here once per sweep, and added digitwise
+    (XOR for p = 2).  Other p write the digits of c*h_i - f(b_i), a power
+    sum in c, into an (N, N, batch) array for _batch_rank_modp."""
+    ctx = f.ctx
+    p, n = ctx.p, ctx.N
+    b = (p ** np.arange(n, dtype=np.int64))[:, None]
+    h = ctx.frob_vec(b, t)
+    neg_fb = ctx.power_sum([(1, p - 1)], evaluate_vec(f, b))  # -f(b)
+    if p > 3:
+        entry = np.min_scalar_type(-p * (p - 1))
+        inv = np.zeros(p, dtype=entry)
+        inv[1:] = ctx.inv_vec(np.arange(1, p, dtype=np.int64))
+
+        def rank_modp(cs):
+            enc = ctx.power_sum([(1, h), (0, neg_fb)], cs)
+            mats = np.empty((n, n, len(cs)), dtype=entry)
+            for row in range(n):
+                np.divmod(enc, p, out=(enc, mats[row]))
+            return _batch_rank_modp(mats, inv)
+        return rank_modp
+    k = (n + 1) // 2
+    low = ctx.power_sum([(1, h), (0, neg_fb)], np.arange(p ** k, dtype=np.int64))
+    high = ctx.power_sum([(1, h)], np.arange(p ** (n - k), dtype=np.int64) * p ** k)
+    word = np.min_scalar_type((1 << n) - 1)
+    if p == 2:
+        tables = [tab.astype(word)[None] for tab in (low, high)]  # one plane: the rows
+    else:
+        bits = (1 << np.arange(n)).astype(word)
+        tables = []
+        for tab in (low, high):
+            digits = ctx.digits_vec(tab)  # (N, table rows, N)
+            # two planes: bit j of lo (of hi) is set where digit j is 1 (is 2)
+            tables.append(np.stack([(digits == 1) @ bits, (digits == 2) @ bits]))
+
+    def rank_packed(cs):
+        w, v = np.divmod(cs, p ** k)
+        # np.take keeps the rows in C order, the layout the eliminations
+        # reduce along (fancy indexing on the last axis does not)
+        x, y = np.take(tables[0], v, axis=-1), np.take(tables[1], w, axis=-1)
+        if p == 2:
+            return _rank_f2(x[0] ^ y[0], n)
+        _f3_add_to(*x, *y, np.empty_like(x[0]))
+        return _rank_f3(*x, n)
+    return rank_packed
 
 
 def _frobenius_symmetry(f: QPoly) -> tuple[int, int]:
@@ -179,15 +313,18 @@ def _conjugate(ctx: FieldCtx, mu: int, cs: np.ndarray, r: int, k: int) -> np.nda
 
 def _orbit_leaders(ctx: FieldCtx, mu: int, r: int):
     """The scalars that are the least encoding of their orbit {mu*tau^k(c/mu)},
-    ascending, in batches of _CHUNK (the last one shorter).  Pass k drops the
-    candidates above their k-th conjugate; 0, the least encoding, stays."""
+    ascending, in batches of _CHUNK (the last one shorter).  Candidates are
+    filtered in blocks of _CHUNK * N/r scalars, which hold about _CHUNK
+    leaders; pass k drops the candidates above their k-th conjugate, and 0,
+    the least encoding, stays."""
+    block = _CHUNK * (ctx.N // r)
     pending = np.empty(0, dtype=np.int64)
-    for start in range(0, ctx.order, _CHUNK):
-        cs = np.arange(start, min(start + _CHUNK, ctx.order), dtype=np.int64)
+    for start in range(0, ctx.order, block):
+        cs = np.arange(start, min(start + block, ctx.order), dtype=np.int64)
         for k in range(1, ctx.N // r):
             cs = cs[cs <= _conjugate(ctx, mu, cs, r, k)]
         pending = np.concatenate([pending, cs])
-        last = start + _CHUNK >= ctx.order
+        last = start + block >= ctx.order
         while len(pending) >= _CHUNK or (last and len(pending)):
             yield pending[:_CHUNK]
             pending = pending[_CHUNK:]
@@ -202,20 +339,11 @@ def _kernel_dim_chunks(f: QPoly, t: int, ceiling):
     ctx = f.ctx
     check_ceiling(ctx.order, ceiling)
     mu, r = _frobenius_symmetry(f)
-    p, n_p = ctx.p, ctx.N
-    b = (p ** np.arange(n_p, dtype=np.int64))[:, None]  # power basis g^i, encoded p^i
-    h = ctx.frob_vec(b, t)
-    neg_fb = ctx.power_sum([(1, p - 1)], evaluate_vec(f, b))  # -f(b)
-    entry = np.min_scalar_type(-(p - 1) ** 2)
+    rank = _sweep_ranker(f, t)
 
     def ranked(cs):
-        # column i for scalar c is c*h_i - f(b_i), a power sum in c; its digits are the rows
-        enc = ctx.power_sum([(1, h), (0, neg_fb)], cs)
-        mats = np.empty((n_p, n_p, len(cs)), dtype=entry)
-        for row in range(n_p):
-            np.divmod(enc, p, out=(enc, mats[row]))
-        dims = (n_p - _batch_rank_modp(mats, p)) // ctx.e
-        return cs, dims, (_conjugate(ctx, mu, cs, r, k) for k in range(1, n_p // r))
+        dims = (ctx.N - rank(cs)) // ctx.e
+        return cs, dims, (_conjugate(ctx, mu, cs, r, k) for k in range(1, ctx.N // r))
 
     return map(ranked, _orbit_leaders(ctx, mu, r))
 

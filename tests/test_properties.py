@@ -1,11 +1,14 @@
 """Cross-route properties over a stated domain, drawn by hypothesis: the
 kernel sweep against the fiber counts of the ratio map, the rank-code
 histogram against both, the quotient curve's ratio-predicate count against
-the fiber verdict, and the power-sum kernel against scalar arithmetic."""
+the fiber verdict, the power-sum kernel against scalar arithmetic, and the
+sweep's three eliminations (bit-packed F_2 and F_3, digit arrays mod p)
+against each other and against textbook row reduction."""
 
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from scatterpoly import curve as cv, gf, linpoly as lp, rankcode as rk, scattered as sc
@@ -135,3 +138,103 @@ def test_power_sum_matches_scalar_arithmetic(case):
         x = int(xs[idx[0]] if xs.ndim == 1 else xs[idx[0], 0])
         cs = [(m, int(c if np.ndim(c) == 0 else c[idx[-1]])) for m, c in terms]
         assert int(out[idx]) == _power_sum_ref(ctx, cs, x)
+
+
+@st.composite
+def matrix_batches(draw, p, n):
+    """A (batch, n, n) array of matrices over F_p, batch 1 to 9, each one
+    uniform, zero, the identity, uniform with one row copied onto another,
+    or of rank at most 1 (an outer product)."""
+    rnd = draw(st.randoms(use_true_random=False))
+    mats = []
+    for _ in range(rnd.randrange(1, 10)):
+        kind = rnd.randrange(5)
+        m = [[rnd.randrange(p) for _ in range(n)] for _ in range(n)]
+        if kind == 1:
+            m = [[0] * n for _ in range(n)]
+        elif kind == 2:
+            m = [[int(i == j) for j in range(n)] for i in range(n)]
+        elif kind == 3 and n > 1:
+            i, j = rnd.sample(range(n), 2)
+            m[i] = list(m[j])
+        elif kind == 4:
+            u, v = m[0], m[-1]
+            m = [[ui * vj % p for vj in v] for ui in u]
+        mats.append(m)
+    return np.array(mats, dtype=np.int64)
+
+
+def _modp_ranks(mats, p):
+    """_batch_rank_modp on a (batch, n, n) array of matrices over F_p."""
+    entry = np.min_scalar_type(-p * (p - 1))
+    inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=entry)
+    return sc._batch_rank_modp(np.ascontiguousarray(mats.transpose(1, 2, 0), dtype=entry), inv)
+
+
+def _bits(mask):
+    """Rows of a (batch, n, n) boolean array as an (n, batch) array of
+    bitmasks, bit j of row i being entry (i, j)."""
+    return (mask.astype(np.uint64) << np.arange(mask.shape[-1], dtype=np.uint64)).sum(-1).T
+
+
+def _rank_ref(m, p):
+    """Rank of one matrix over F_p by textbook row reduction on Python ints."""
+    m, n, rank = [row[:] for row in m], len(m), 0
+    for col in range(n):
+        piv = next((r for r in range(rank, n) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][col], -1, p)
+        for r in range(n):
+            if r != rank and m[r][col]:
+                c = m[r][col] * inv % p
+                m[r] = [(x - c * y) % p for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+# every n a sweep can meet under the 2^26 table cap; both sides of each
+# word width (8 and 16 bits) the packed rows start in or narrow to
+@pytest.mark.parametrize("p, n", [(2, n) for n in range(1, 27)] + [(3, n) for n in range(1, 17)])
+@settings(derandomize=True, deadline=None, max_examples=4)
+@given(data=st.data())
+def test_packed_rank_matches_modp_elimination(p, n, data):
+    mats = data.draw(matrix_batches(p, n))
+    want = _modp_ranks(mats, p)
+    if p == 2:
+        got = sc._rank_f2(_bits(mats == 1), n)
+    else:
+        got = sc._rank_f3(_bits(mats == 1), _bits(mats == 2), n)
+    assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("p", [5, 13, 251, 2039])
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(data=st.data())
+def test_modp_elimination_matches_textbook_reduction(p, data):
+    mats = data.draw(matrix_batches(p, data.draw(st.integers(1, 5))))
+    assert _modp_ranks(mats, p).tolist() == [_rank_ref(m, p) for m in mats.tolist()]
+
+
+# the fields of the sweep's domain that the packed route ranks
+PACKED_FIELDS = [f for f in PRIME_FIELDS + [(2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2), (3, 2, 3)]
+                 if f[0] <= 3]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(rnd=st.randoms(use_true_random=False))
+def test_sweep_ranks_match_digit_matrices(rnd):
+    # for p = 2, 3 the sweep adds two table rows per scalar c; the digits of
+    # the map c*X^(q^t) - f evaluated on the power basis, as matrix
+    # columns, must give its ranks
+    p, e, d = rnd.choice(PACKED_FIELDS)
+    ctx = gf.make_field(p, e, d, modulus=explicit_modulus(rnd, p, e * d))
+    f = lp.QPoly.from_encs(ctx, [rnd.randrange(ctx.order) for _ in range(d)])
+    t = rnd.randrange(d)
+    cs = sorted(rnd.sample(range(ctx.order), min(ctx.order, rnd.randrange(1, 40))))
+    basis = p ** np.arange(ctx.N, dtype=np.int64)
+    xqt = lp.QPoly.monomial(ctx, t)
+    cols = [ctx.digits_vec(lp.evaluate_vec(xqt.scale(gf.FFElt(ctx, c)).sub(f), basis)) for c in cs]
+    want = _modp_ranks(np.array(cols).transpose(0, 2, 1), p)  # (c, row, column)
+    assert sc._sweep_ranker(f, t)(np.array(cs, dtype=np.int64)).tolist() == want.tolist()
