@@ -14,12 +14,14 @@ Z(k) = log(1 + g^k), so u + v = u * (1 + v/u) is table lookups as well.  The
 antilogs are digit rows stepped by powers of one F_p matrix, multiplication by
 the generator, and the log table is checked by its own fill.  For p = 2
 scalar addition is XOR, the native addition of the encoding.  The one array
-kernel is `FieldCtx.power_sum`, which evaluates sum c * x^m over an array with
-every term kept as a log (m * log x + log c) until one antilog gather at the
-end; the other array operations are power sums (u * v is v * u^1, u + v is
-1 * u^1 + v * u^0, 1/u is u^(order - 2)).  Coordinates over F_q are
-remainders modulo the minimal polynomial of g over F_q.  `FieldCtx.enc` is the
-one rule that turns an int or an element into an encoding.
+kernel is `FieldCtx.power_sum_at_logs`, which evaluates sum c * x^m at
+x = gen^k from the exponents k, with every term kept as a log (m * k + log c)
+until one antilog gather at the end; a scan over a range of k never reads a
+log.  `FieldCtx.power_sum` is that kernel on log x, and the other array
+operations are power sums (u * v is v * u^1, u + v is 1 * u^1 + v * u^0, 1/u
+is u^(order - 2)).  Coordinates over F_q are remainders modulo the minimal
+polynomial of g over F_q.  `FieldCtx.enc` is the one rule that turns an int or
+an element into an encoding.
 """
 
 from __future__ import annotations
@@ -248,7 +250,9 @@ class FieldCtx:
             f += 1
         if m > 1:
             primes.append(m)
-        for cand in range(1, self.order):
+        # for N > 1 the p - 1 nonzero elements of F_p (encodings 1 .. p - 1)
+        # have order dividing p - 1 < order - 1, so the search starts at p
+        for cand in range(self.p if self.N > 1 else 1, self.order):
             if all(self._pow_slow(cand, qm1 // ell) != 1 for ell in primes):
                 return cand
         raise FieldError("no multiplicative generator found")
@@ -407,15 +411,23 @@ class FieldCtx:
         while any m > 0 gives 0 at x = 0, a multiple of order - 1 included.
         c is an encoding or an array of encodings broadcasting against xs.
 
-        The sum runs on logs, -1 standing for 0.  log x is read once; a term's
-        log is (m * log x mod (order - 1)) + log c, at most 2(order - 2), so
-        it indexes the doubled tables as it is.  Terms are added as Zech logs
-        for odd p and as XORed antilogs for p = 2; one antilog gather ends
-        the sum."""
+        It is power_sum_at_logs applied to log x."""
         self._ensure_tables()
-        xs = np.asarray(xs, dtype=np.int64)
+        return self.power_sum_at_logs(terms, self._log[np.asarray(xs, dtype=np.int64)])
+
+    def power_sum_at_logs(self, terms, ks):
+        """power_sum at x = gen^k for each k of `ks`, where gen is the
+        multiplicative generator, 0 <= k < order - 1, and k = -1 stands for
+        x = 0.  A scan over a range of k evaluates at those powers of gen
+        without reading log x.
+
+        The sum runs on logs, -1 standing for 0.  A term's log is
+        (m * k mod (order - 1)) + log c, at most 2(order - 2), so it indexes
+        the doubled tables as it is.  Terms are added as Zech logs for odd p
+        and as XORed antilogs for p = 2; one antilog gather ends the sum."""
+        self._ensure_tables()
+        lx = np.asarray(ks)
         q1 = self.order - 1
-        lx = self._log[xs]
         x_zero = lx < 0 if lx.min(initial=0) < 0 else None
         acc = None
         for m, c in terms:
@@ -442,10 +454,10 @@ class FieldCtx:
             else:
                 acc = acc ^ lt
         if acc is None:
-            return np.zeros(xs.shape, dtype=np.int64)
+            return np.zeros(lx.shape, dtype=np.int64)
         out = np.asarray(self._exp[acc]) if self.p > 2 else acc  # a 0-d gather reads a scalar
-        if out.shape != xs.shape:  # constant terms alone miss the shape of xs
-            shape = np.broadcast_shapes(xs.shape, out.shape)
+        if out.shape != lx.shape:  # constant terms alone miss the shape of ks
+            shape = np.broadcast_shapes(lx.shape, out.shape)
             out = out if out.shape == shape else np.broadcast_to(out, shape).copy()
         return out
 

@@ -9,6 +9,13 @@ F_p, the package's one bulk kernel engine: bit-packed rows for p = 2 and
 p = 3, digit arrays for larger p).  They must agree; small instances are
 cross-checked inline.
 
+The ratio is constant on each F_q^*-line {lambda*x}, the points of the
+linear set, so the fiber scan reads one x = gen^k per line, k below
+M = (order - 1)/(q - 1), and evaluates there from k itself: a fiber of
+q^w - 1 elements is (q^w - 1)/(q - 1) lines.  The witness is the first pair
+of the full canonical order, found by walking encodings up to the first
+element of a shared ratio and taking its least mate off its own line.
+
 The sweep ranks one scalar per orbit.  With mu a nonzero coefficient of f and
 r the least divisor of N = e*d for which tau(x) = x^(p^r) fixes every f_i/mu,
 the kernel dimension is constant on each orbit {mu*tau^k(c/mu)}; only the
@@ -61,48 +68,86 @@ class ScanEntry:
     skipped: str | None = None
 
 
-def _ratio_counts(f: QPoly, t: int, ceiling=None):
-    """Ratios f(x)/x^(q^t) for every nonzero x, plus their fiber sizes.  On
-    nonzero x the ratio is the power sum of f_j x^(q^j - q^t), exponents
-    reduced mod (order - 1), so no division pass is needed."""
+def _ratio_terms(f: QPoly, t: int):
+    """The ratio f(x)/x^(q^t) on nonzero x as power-sum terms: f_j x^(q^j - q^t),
+    exponents reduced mod (order - 1), so no division pass is needed."""
+    q, q1 = f.ctx.q, f.ctx.order - 1
+    return [((pow(q, j, q1) - pow(q, t, q1)) % q1, c) for j, c in enumerate(f.encs) if c]
+
+
+def _line_ratios(f: QPoly, t: int, ceiling=None):
+    """The ratio on each F_q^*-line and the number of lines over each ratio.
+
+    F_q^* is generated by gen^M, M = (order - 1)/(q - 1), so the lines are
+    {gen^(k + jM)} and x = gen^k, 0 <= k < M, is one point of each; every
+    exponent q^j - q^t is a multiple of q - 1, so the ratio is constant on a
+    line.  lines[k] is the ratio at gen^k, evaluated from k itself."""
     ctx = f.ctx
     check_ceiling(ctx.order, ceiling)
-    q, q1 = ctx.q, ctx.order - 1
-    xs = np.arange(1, ctx.order, dtype=np.int64)
-    ratios = ctx.power_sum([((pow(q, j, q1) - pow(q, t, q1)) % q1, c)
-                            for j, c in enumerate(f.encs) if c], xs)
-    counts = np.bincount(ratios, minlength=ctx.order)
-    return xs, ratios, counts
+    ks = np.arange((ctx.order - 1) // (ctx.q - 1), dtype=np.int64)
+    lines = ctx.power_sum_at_logs(_ratio_terms(f, t), ks)
+    return lines, np.bincount(lines, minlength=ctx.order)
+
+
+def _ratio_counts(f: QPoly, t: int, ceiling=None):
+    """The per-x view of the line scan: (xs, ratios, counts) with xs every
+    nonzero x ascending, ratios[i] the ratio at xs[i] and counts[c] the
+    number of x with ratio c (q - 1 per line).  x = gen^k lies on line
+    k mod M, so the line ratios tiled q - 1 times are the ratios at gen^0,
+    gen^1, ..., placed at their encodings."""
+    ctx = f.ctx
+    lines, line_counts = _line_ratios(f, t, ceiling)
+    powers = ctx.power_sum_at_logs([(1, 1)], np.arange(ctx.order - 1, dtype=np.int64))
+    ratios = np.empty(ctx.order - 1, dtype=np.int64)
+    ratios[powers - 1] = np.tile(lines, ctx.q - 1)
+    return np.arange(1, ctx.order, dtype=np.int64), ratios, line_counts * (ctx.q - 1)
 
 
 def scatter_test(f: QPoly, t: int, ceiling=None) -> ScatterVerdict:
     """Fiber-count scatteredness test for an arbitrary nonzero pair (f, t).
 
-    The witness, present iff not scattered, is the first pair (x, y) in
-    canonical order with equal ratios and y/x outside F_q.
+    The ratio is scanned on one x per F_q^*-line (see _line_ratios); the pair
+    is scattered iff no two lines share a ratio.  The witness, present iff
+    not scattered, is the first pair (x, y) in canonical order with equal
+    ratios and y/x outside F_q.
     """
     if f.is_zero():
         raise FieldError("scatteredness is undefined for the zero map")
-    return _fiber_verdict(f.ctx, *_ratio_counts(f, t, ceiling))
+    return _fiber_verdict(f, t, *_line_ratios(f, t, ceiling))
 
 
 def scatter_report(f: QPoly, t: int, ceiling=None) -> tuple[ScatterVerdict, LinearSetReport]:
     """scatter_test and linear_set_report_raw of a nonzero pair from one
-    ratio scan."""
+    line scan."""
     if f.is_zero():
         raise FieldError("scatteredness is undefined for the zero map")
-    xs, ratios, counts = _ratio_counts(f, t, ceiling)
-    return _fiber_verdict(f.ctx, xs, ratios, counts), _weight_spectrum(f.ctx, counts)
+    lines, line_counts = _line_ratios(f, t, ceiling)
+    return _fiber_verdict(f, t, lines, line_counts), _weight_spectrum(f.ctx, line_counts)
 
 
-def _fiber_verdict(ctx: FieldCtx, xs, ratios, counts) -> ScatterVerdict:
-    fat = counts > ctx.q - 1
-    if not fat.any():
+def _fiber_verdict(f: QPoly, t: int, lines, line_counts) -> ScatterVerdict:
+    """The verdict from the line scan, with the first witness in canonical
+    order.  x is the least encoding whose ratio is shared by two lines or
+    more: encodings are walked in blocks that double from _CHUNK, and the
+    walk stops at the first block holding one.  Its mates are the points of
+    the lines over its ratio, and y is the least of them off the line of x."""
+    ctx = f.ctx
+    if line_counts.max() <= 1:
         return ScatterVerdict(True, None)
-    sel = fat[ratios]
-    idx = int(np.argmax(sel))
+    terms = _ratio_terms(f, t)
+    start, size = 1, _CHUNK
+    while True:
+        xs = np.arange(start, min(start + size, ctx.order), dtype=np.int64)
+        ratios = ctx.power_sum(terms, xs)
+        fat = line_counts[ratios] > 1
+        if fat.any():
+            break
+        start, size = start + size, 2 * size
+    idx = int(np.argmax(fat))
     x_enc = int(xs[idx])
-    mates = xs[ratios == ratios[idx]]
+    # the points gen^(k + jM) of the lines over the ratio of x
+    ks = np.flatnonzero(lines == ratios[idx])[:, None] + len(lines) * np.arange(ctx.q - 1)
+    mates = np.sort(ctx.power_sum_at_logs([(1, 1)], ks.ravel()))
     ix = ctx.inv_i(x_enc)
     for m in mates.tolist():
         if m != x_enc and not ctx.in_subfield_i(ctx.mul_i(m, ix)):
@@ -393,24 +438,25 @@ def linear_set_report_raw(f: QPoly, t: int, ceiling=None) -> LinearSetReport:
     """Weight spectrum of the projective-line linear set defined by (f, t).
 
     The point spanned by (1, c) has weight w exactly when the fiber of the
-    ratio map over c has size q^w - 1; the point spanned by (0, 1) never lies
-    on the set for these instances.
+    ratio map over c has size q^w - 1, that is (q^w - 1)/(q - 1) lines of the
+    line scan; the point spanned by (0, 1) never lies on the set for these
+    instances.
     """
     if f.is_zero():
         raise FieldError("the zero map defines no linear set of full rank")
-    return _weight_spectrum(f.ctx, _ratio_counts(f, t, ceiling)[2])
+    return _weight_spectrum(f.ctx, _line_ratios(f, t, ceiling)[1])
 
 
-def _weight_spectrum(ctx: FieldCtx, counts) -> LinearSetReport:
+def _weight_spectrum(ctx: FieldCtx, line_counts) -> LinearSetReport:
     q = ctx.q
-    by_size = {q ** w - 1: w for w in range(1, ctx.d + 1)}
+    by_size = {(q ** w - 1) // (q - 1): w for w in range(1, ctx.d + 1)}
     spectrum: dict[int, int] = {}
-    ratios_by_size = np.bincount(counts)
-    for csize in np.flatnonzero(ratios_by_size[1:]) + 1:
-        w = by_size.get(int(csize))
+    ratios_by_size = np.bincount(line_counts)
+    for lsize in np.flatnonzero(ratios_by_size[1:]) + 1:
+        w = by_size.get(int(lsize))
         if w is None:
             raise FieldError("internal error: fiber size is not q^w - 1")
-        spectrum[w] = int(ratios_by_size[csize])
+        spectrum[w] = int(ratios_by_size[lsize])
     return LinearSetReport(
         size=sum(spectrum.values()),
         weight_spectrum=spectrum,

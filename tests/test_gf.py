@@ -436,6 +436,20 @@ def test_log_tables_are_pinned():
             assert (ctx._zech[q1:] == ctx._zech[:q1]).all() and _sha256_int64(ctx._zech[:q1]) == zech
 
 
+def test_generator_search_skips_the_prime_field():
+    # for N > 1 the search starts at encoding p: F_(2039^2) reaches its
+    # generator 2044 without trying the 2,038 elements of F_2039^*
+    assert gf.make_field(2039, 1, 2).mult_generator_enc == 2044
+    for (p, e, d), first, gen in (((7, 1, 1), 1, 3), ((13, 1, 1), 1, 2), ((3, 1, 4), 3, 3), ((2, 2, 3), 2, 2)):
+        ctx = gf.FieldCtx(p, e, d)  # not make_field: the cached contexts stay clean
+        tried = []
+        slow = ctx._pow_slow
+        ctx._pow_slow = lambda u, m: tried.append(u) or slow(u, m)
+        assert ctx._find_mult_generator() == gen and tried[0] == first
+    # a prime field still searches from 1, which generates F_2^*
+    assert gf.FieldCtx(2, 1, 1)._find_mult_generator() == 1
+
+
 def test_table_check_rejects_a_non_generator():
     # 1 on F_16, -1 on F_9 and 2 (of order 3) on F_7 leave nonzero log slots unfilled
     for (p, d), bad in (((2, 4), 1), ((3, 2), 2), ((7, 1), 2)):
@@ -475,10 +489,14 @@ def test_power_sum_matches_scalar_reference():
             [(rng.randrange(1, 3 * ctx.order), c()) for _ in range(6)] + [(0, c())],
             [],
         ]
+        ks = np.arange(-1, q1)  # k = -1 stands for x = 0
+        powers = [0] + [ctx.pow_i(ctx.mult_generator_enc, k) for k in range(q1)]
         for terms in cases:
             out = ctx.power_sum(terms, xs)
             assert out.dtype == np.int64 and out.shape == xs.shape
             assert out.tolist() == [_power_sum_ref(ctx, terms, x) for x in xs.tolist()]
+            # the same sum at x = gen^k, from the exponents k
+            assert ctx.power_sum_at_logs(terms, ks).tolist() == [_power_sum_ref(ctx, terms, x) for x in powers]
             for x in (0, 1, c()):  # a lone x gives a new 0-d array for every p
                 out = ctx.power_sum(terms, np.int64(x))
                 assert type(out) is np.ndarray and out.ndim == 0 and out.dtype == np.int64

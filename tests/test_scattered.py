@@ -279,6 +279,40 @@ def test_ratio_power_sum_matches_division():
                 assert counts.tolist() == want_counts.tolist()
 
 
+# fields where a line holds many points: q - 1 = 8 and 3, and an explicit
+# modulus (X^3 + X + 4, not the canonical X^3 + X + 1) with q - 1 = 4
+LINE_FIELDS = lambda: (
+    gf.make_field(3, 2, 2),
+    gf.make_field(2, 2, 3),
+    gf.make_field(5, 1, 3, modulus=(4, 1, 0, 1)),
+)
+
+
+def test_line_scan_witness_and_partition_match_brute_force():
+    # the scan reads one x per F_q^*-line; the witness is still the first
+    # pair of the full element order, and the lines over each ratio count
+    # (q^w - 1)/(q - 1) for a point of weight w
+    rng = random.Random(71)
+    for ctx in LINE_FIELDS():
+        sub = ctx.subfield_elems()
+        polys = [lp.QPoly.monomial(ctx, 1), lp.QPoly.monomial(ctx, ctx.d - 1)]
+        polys += [lp.QPoly.from_encs(ctx, [rng.choice(sub) for _ in range(ctx.d)]) for _ in range(2)]
+        polys += [lp.QPoly.from_encs(ctx, [rng.randrange(ctx.order) for _ in range(ctx.d)]) for _ in range(3)]
+        for f in polys:
+            if f.is_zero():
+                continue
+            for t in list(range(ctx.d)) + [ctx.d + rng.randrange(ctx.d)]:
+                verdict, rep = sc.scatter_report(f, t)
+                expected = first_brute_witness(f, t)
+                assert verdict == sc.scatter_test(f, t) and rep == sc.linear_set_report_raw(f, t)
+                assert verdict.scattered == (expected is None)
+                if expected is not None:
+                    assert tuple(w.val for w in verdict.witness) == expected
+                total = sum(cnt * (ctx.q ** w - 1) for w, cnt in rep.weight_spectrum.items())
+                assert total == ctx.order - 1
+                assert (rep.size == (ctx.order - 1) // (ctx.q - 1)) == verdict.scattered
+
+
 def test_linear_set_partition_identity():
     rng = random.Random(43)
     for ctx in SMALL_FIELDS():
