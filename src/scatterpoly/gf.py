@@ -11,9 +11,11 @@ degree N over F_p, coefficients compared from the constant term up.
 Arithmetic runs on one log layout built once per field: discrete logs to a
 least multiplicative generator, antilogs, and for odd p the Zech logarithms
 Z(k) = log(1 + g^k), so u + v = u * (1 + v/u) is table lookups as well.  The
-antilogs are digit rows stepped by powers of one F_p matrix, multiplication by
-the generator, and the log table is checked by its own fill.  For p = 2
-scalar addition is XOR, the native addition of the encoding.  The one array
+first block of antilogs is digit rows stepped by one F_p matrix,
+multiplication by the generator; the rest of the period is filled by
+doubling, each step a multiplication by gen^L applied through lookup tables
+of a few digits each, and the log table is checked by its own fill.  For
+p = 2 scalar addition is XOR, the native addition of the encoding.  The one array
 kernel is `FieldCtx.power_sum_at_logs`, which evaluates sum c * x^m at
 x = gen^k from the exponents k, with every term kept as a log (m * k + log c)
 until one antilog gather at the end; a scan over a range of k never reads a
@@ -31,9 +33,14 @@ import itertools
 import numpy as np
 
 DEFAULT_ENUM_CEILING = 1 << 22
-# Largest field whose log tables are built: about 1.75 GiB of tables, and
-# int32 sums of two logs stay below 2^31.
+# Largest field whose log tables are built: the int32 tables take 12 bytes
+# per element for p = 2 (768 MiB at 2^26) and 20 for odd p, and int32 sums of
+# two logs stay below 2^31.
 TABLE_CEILING = 1 << 26
+# The table build's doubling steps multiply _BUILD_BLOCK encodings at a time
+# through lookup tables of about _BUILD_TABLE entries, so both stay in L2.
+_BUILD_BLOCK = 1 << 14
+_BUILD_TABLE = 1 << 11
 
 
 class FieldError(ValueError):
@@ -258,18 +265,20 @@ class FieldCtx:
         raise FieldError("no multiplicative generator found")
 
     def _ensure_tables(self):
-        """Build the log layout: `_log` (int32, -1 at 0); `_exp`, the powers
-        gen^0 .. gen^(order-2) twice over and a trailing 0, so a sum of two
-        logs indexes it directly and index -1 reads 0; and for odd p `_zech`,
-        Z(k) = log(1 + gen^k) twice over, so a difference of two logs indexes
-        it directly (negative differences wrap).
+        """Build the log layout: `_log` (int32, -1 at 0); `_exp` (int32), the
+        powers gen^0 .. gen^(order-2) twice over and a trailing 0, so a sum of
+        two logs indexes it directly and index -1 reads 0; and for odd p
+        `_zech`, Z(k) = log(1 + gen^k) twice over, so a difference of two logs
+        indexes it directly (negative differences wrap).
 
         `mat` is multiplication by gen on digit rows (row i holds the digits
         of gen * g^i).  Doubling `dig` from the digits of 1 with `dig @ mat`,
-        and squaring `mat` each time, gives a block of powers and the matrix
-        that steps one block to the next.  The order - 1 writes of `_log` fill
-        its nonzero slots exactly once iff gen generates, so the fill checks
-        itself."""
+        and squaring `mat` each time, gives the first block of up to 512
+        powers and the matrix of gen^block.  The rest of the period is filled
+        by doubling, period[L:2L] = gen^L * period[:L], each step a
+        `_multiplier` map of the current `mat`, which is then squared.  The
+        order - 1 writes of `_log` fill its nonzero slots exactly once iff gen
+        generates, so the fill checks itself."""
         if self._exp is not None:
             return
         if self.order > TABLE_CEILING:
@@ -282,14 +291,19 @@ class FieldCtx:
         while len(dig) < min(1 << 9, q1):
             dig = np.vstack((dig, dig @ mat % p))
             mat = mat @ mat % p
-        block = len(dig)
-        place = np.array(self._pp[:N], dtype=np.int64)
-        exp = np.empty(2 * q1 + 1, dtype=np.int64)
+        exp = np.empty(2 * q1 + 1, dtype=np.int32)
         period = exp[:q1]
-        for pos in range(0, q1, block):
-            take = min(block, q1 - pos)
-            period[pos : pos + take] = dig[:take] @ place
-            dig = dig @ mat % p
+        done = min(len(dig), q1)
+        period[:done] = dig[:done] @ np.array(self._pp[:N], dtype=np.int64)
+        times = self._multiplier() if done < q1 else None
+        while done < q1:
+            step = times(mat)  # mat is multiplication by gen^done
+            take = min(done, q1 - done)
+            for lo in range(0, take, _BUILD_BLOCK):
+                hi = min(lo + _BUILD_BLOCK, take)
+                period[done + lo : done + hi] = step(period[lo:hi])
+            mat = mat @ mat % p
+            done += take
         exp[q1:-1] = period
         exp[-1] = 0
         log = np.full(self.order, -1, dtype=np.int32)
@@ -303,6 +317,65 @@ class FieldCtx:
         self._mulgen_enc = gen
         self._log = log
         self._exp = exp
+
+    def _multiplier(self):
+        """times(mat) -> step, where `mat` is multiplication by some nonzero a
+        on digit rows (row i holds the digits of a * g^i) and step maps an
+        int32 array of encodings x to the encodings of a * x.
+
+        a * x is F_p-linear in the digits of x.  x is cut into chunks of c
+        digits, and a * (chunk value * p^lo) is looked up in a table of p^c
+        entries built from c rows of `mat`.  For p = 2 the entries are
+        encodings and the chunk terms XOR.  For odd p an entry holds its N
+        digits in fields of b bits, wide enough that the chunk terms add
+        without carry; one lookup per piece of fields then reduces the sum
+        mod p and re-encodes it.  A table covers as many digits, or fields,
+        as fit in _BUILD_TABLE entries, and at least one.  For N = 1 the
+        encoding is the residue, and a * x is one product mod p."""
+        p, N = self.p, self.N
+        if N == 1:
+            return lambda mat: lambda xs: np.multiply(xs, int(mat[0, 0]), dtype=np.int64) % p
+        cmax = 1
+        while p ** (cmax + 1) <= _BUILD_TABLE:
+            cmax += 1
+        c = -(-N // -(-N // cmax))  # the fewest chunks, as even as they go
+        P = p ** c
+        # the digits of every value of a chunk, for each chunk width
+        values = {w: np.arange(p ** w)[:, None] // p ** np.arange(w) % p for w in (c, N - (N - 1) // c * c)}
+        if p == 2:
+            place, word, add = 1 << np.arange(N), np.int32, np.bitwise_xor
+        else:
+            b = (-(-N // c) * (p - 1)).bit_length()
+            place, word, add = 1 << b * np.arange(N), np.min_scalar_type((1 << b * N) - 1), np.add
+            k = max(1, (_BUILD_TABLE.bit_length() - 1) // b)  # fields per piece
+            pieces = []
+            for lo in range(0, N, k):
+                w = min(k, N - lo)
+                fields = np.arange(1 << b * w)[:, None] >> b * np.arange(w) & (1 << b) - 1
+                pieces.append((b * lo, (1 << b * w) - 1, (fields % p @ p ** np.arange(lo, lo + w)).astype(np.int32)))
+
+        def times(mat):
+            tabs = [(values[len(rows)] @ rows % p @ place).astype(word)
+                    for rows in (mat[lo : lo + c] for lo in range(0, N, c))]
+
+            def step(xs):
+                acc, rest = None, xs
+                for tab in tabs:
+                    if p == 2:
+                        digit, rest = rest & (P - 1), rest >> c
+                    else:
+                        rest, digit = np.divmod(rest, P)
+                    term = np.take(tab, digit)
+                    acc = term if acc is None else add(acc, term, out=acc)
+                if p == 2:
+                    return acc
+                out = None
+                for shift, mask, tab in pieces:
+                    term = np.take(tab, (acc >> shift) & mask)
+                    out = term if out is None else np.add(out, term, out=out)
+                return out
+            return step
+        return times
 
     @property
     def mult_generator_enc(self) -> int:
@@ -439,10 +512,9 @@ class FieldCtx:
             if self.p > 2:
                 acc = lt if acc is None else self._add_logs(acc, lt)
                 continue
-            # the term's antilogs overwrite its int64 logs (-1 wraps to the
-            # trailing 0), then XOR into whichever operand has the sum's shape
-            lt = np.asarray(lt, dtype=np.int64)
-            np.take(self._exp, lt, out=lt, mode="wrap")
+            # the term's antilogs (-1 reads the trailing 0) XOR into whichever
+            # operand has the sum's shape
+            lt = self._exp[lt]
             if acc is None:
                 acc = lt
                 continue
@@ -455,7 +527,11 @@ class FieldCtx:
                 acc = acc ^ lt
         if acc is None:
             return np.zeros(lx.shape, dtype=np.int64)
-        out = np.asarray(self._exp[acc]) if self.p > 2 else acc  # a 0-d gather reads a scalar
+        if self.p > 2:
+            # acc is a new array of logs (or a scalar): the antilogs overwrite it
+            acc = np.asarray(acc)
+            np.take(self._exp, acc, out=acc, mode="wrap")
+        out = np.asarray(acc, dtype=np.int64)
         if out.shape != lx.shape:  # constant terms alone miss the shape of ks
             shape = np.broadcast_shapes(lx.shape, out.shape)
             out = out if out.shape == shape else np.broadcast_to(out, shape).copy()
@@ -463,8 +539,9 @@ class FieldCtx:
 
     def _term_log(self, lx, mr, lc, x_zero):
         """log(c * x^m) from lx = log x, mr = m mod (order - 1) for m > 0 and
-        lc = log c, as a new array (int32 for odd p, int64 for p = 2, whose
-        logs become antilogs in place); -1 where x or c is 0."""
+        lc = log c, as a new array (int32 for odd p, whose sums run on the
+        int32 Zech table; int64 for p = 2, the index type the antilog gather
+        takes without converting); -1 where x or c is 0."""
         q1 = self.order - 1
         # int64: the product can pass 2^31; asarray keeps a lone x writable in place
         power = np.asarray(np.multiply(lx, mr, dtype=np.int64))

@@ -46,6 +46,7 @@ REASON_INEQUALITY = "component bound inequality with k <= n/4"
 
 _INLINE_CROSSCHECK_MAX = 1 << 12
 _CHUNK = 1 << 13  # scalars per batched elimination
+_SCAN_BLOCK = 1 << 14  # line points per evaluation of the line scan
 
 
 @dataclass(frozen=True)
@@ -81,11 +82,17 @@ def _line_ratios(f: QPoly, t: int, ceiling=None):
     F_q^* is generated by gen^M, M = (order - 1)/(q - 1), so the lines are
     {gen^(k + jM)} and x = gen^k, 0 <= k < M, is one point of each; every
     exponent q^j - q^t is a multiple of q - 1, so the ratio is constant on a
-    line.  lines[k] is the ratio at gen^k, evaluated from k itself."""
+    line.  lines[k] is the ratio at gen^k, evaluated from k itself in
+    blocks of _SCAN_BLOCK exponents: block-sized temporaries are reused from
+    the heap whatever state earlier allocations left it in, where line-length
+    ones could be faulted in afresh on every scan."""
     ctx = f.ctx
     check_ceiling(ctx.order, ceiling)
-    ks = np.arange((ctx.order - 1) // (ctx.q - 1), dtype=np.int64)
-    lines = ctx.power_sum_at_logs(_ratio_terms(f, t), ks)
+    terms = _ratio_terms(f, t)
+    lines = np.empty((ctx.order - 1) // (ctx.q - 1), dtype=np.int64)
+    for lo in range(0, len(lines), _SCAN_BLOCK):
+        ks = np.arange(lo, min(lo + _SCAN_BLOCK, len(lines)), dtype=np.int64)
+        lines[lo : lo + len(ks)] = ctx.power_sum_at_logs(terms, ks)
     return lines, np.bincount(lines, minlength=ctx.order)
 
 

@@ -426,7 +426,7 @@ def test_log_tables_are_pinned():
         assert ctx.mult_generator_enc == gen
         assert _sha256_int64(ctx._exp[:q1]) == exp and _sha256_int64(ctx._log) == log
         # the doubled layout: a second period, then the 0 that index -1 reads
-        assert ctx._exp.dtype == np.int64 and ctx._log.dtype == np.int32
+        assert ctx._exp.dtype == np.int32 and ctx._log.dtype == np.int32
         assert ctx._exp.shape == (2 * q1 + 1,) and ctx._log.shape == (ctx.order,)
         assert (ctx._exp[q1:-1] == ctx._exp[:q1]).all() and ctx._exp[-1] == 0
         if p == 2:
@@ -450,9 +450,49 @@ def test_generator_search_skips_the_prime_field():
     assert gf.FieldCtx(2, 1, 1)._find_mult_generator() == 1
 
 
+# (p, e, d, modulus) whose tables are checked against _pow_slow: every prime
+# p <= 13 and p = 2039, e > 1 and explicit moduli.  order - 1 lies below the
+# 512-power bootstrap block (242, 342, 120, 168), at it (511), just above it
+# (520, 528), or takes several doubling steps (the rest, up to seven).
+TABLE_ROUTE_FIELDS = (
+    (2, 1, 9, None), (2, 1, 10, None), (2, 2, 5, None), (2, 1, 16, None),
+    (2, 1, 11, (1, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1)),
+    (3, 1, 5, None), (3, 1, 6, None), (3, 2, 4, None), (3, 1, 12, None),
+    (3, 1, 7, (1, 1, 2, 2, 2, 2, 2, 1)), (3, 1, 3, (2, 2, 0, 1)),
+    (5, 1, 4, None), (5, 2, 3, None), (7, 1, 3, None), (7, 1, 4, None),
+    (11, 1, 2, None), (11, 1, 3, None), (13, 1, 2, None), (13, 1, 3, None), (13, 2, 2, None),
+    (23, 1, 2, None), (521, 1, 1, None), (2039, 1, 1, None), (2039, 1, 2, None),
+)
+
+
+def test_tables_match_the_scalar_route():
+    # _exp[k] == gen^k by square-and-multiply on digit polynomials, over the
+    # whole period up to 2^11 elements and at sampled k above: both ends,
+    # k = 2^j - 1, 2^j, 2^j + 1 around every doubling step, and random k
+    rng = random.Random(89)
+    for p, e, d, modulus in TABLE_ROUTE_FIELDS:
+        ctx = gf.FieldCtx(p, e, d, modulus)
+        gen, q1 = ctx.mult_generator_enc, ctx.order - 1
+        if ctx.order <= 1 << 11:
+            ks = range(q1)
+        else:
+            edges = {k for j in range(q1.bit_length()) for k in (2 ** j - 1, 2 ** j, 2 ** j + 1)}
+            ks = sorted({k for k in edges if k < q1} | {q1 - 1} | {rng.randrange(q1) for _ in range(24)})
+        for k in ks:
+            assert int(ctx._exp[k]) == ctx._pow_slow(gen, k) == int(ctx._exp[q1 + k])
+            assert ctx._log[ctx._exp[k]] == k
+        assert ctx._exp[-1] == 0
+
+
 def test_table_check_rejects_a_non_generator():
-    # 1 on F_16, -1 on F_9 and 2 (of order 3) on F_7 leave nonzero log slots unfilled
-    for (p, d), bad in (((2, 4), 1), ((3, 2), 2), ((7, 1), 2)):
+    # 1 on F_16, -1 on F_9 and 2 (of order 3) on F_7 leave nonzero log slots
+    # unfilled; so do gen^3 on F_(2^12), gen^2 on F_(3^7) and on F_2039, whose
+    # periods are filled by doubling
+    cases = [((2, 4), 1), ((3, 2), 2), ((7, 1), 2)]
+    for (p, d), m in (((2, 12), 3), ((3, 7), 2), ((2039, 1), 2)):
+        big = gf.make_field(p, 1, d)
+        cases.append(((p, d), big._pow_slow(big.mult_generator_enc, m)))
+    for (p, d), bad in cases:
         ctx = gf.FieldCtx(p, 1, d)  # not make_field: the cached contexts stay clean
         ctx._find_mult_generator = lambda bad=bad: bad
         with pytest.raises(gf.FieldError, match="^internal error: bad discrete log table$"):
@@ -562,6 +602,28 @@ def test_power_sum_matches_scalar_reference():
             for out, want in ((ctx.add_vec(np.int64(u), np.int64(v)), ctx.add_i(u, v)),
                               (ctx.sub_vec(np.int64(u), np.int64(v)), ctx.sub_i(u, v))):
                 assert type(out) is np.ndarray and out.ndim == 0 and out.dtype == np.int64 and int(out) == want
+
+
+def test_power_sum_returns_new_int64_arrays():
+    # _exp is int32, yet every power sum is a new int64 array: empty, 0-d and
+    # 2-D xs, constant-only terms and all-zero coefficients, for p = 2 and
+    # odd p, on fields with and without doubling steps
+    for ctx in (gf.make_field(2, 1, 3), gf.make_field(2, 1, 10), gf.make_field(3, 1, 3), gf.make_field(3, 1, 7)):
+        q1 = ctx.order - 1
+        row = np.array([0, 1, 2, q1])
+        grid = np.arange(12).reshape(3, 4) % ctx.order
+        cases = [(xs, terms)
+                 for xs in (np.empty(0, dtype=np.int64), np.int64(5), np.array(0), grid)
+                 for terms in ([(1, 3), (ctx.q, 5)], [(0, 3)], [(0, 3), (2, 0)], [(1, 0)], [])]
+        cases += [(xs, terms)
+                  for xs in (np.int64(5), np.empty((0, 4), dtype=np.int64), grid)
+                  for terms in ([(0, row)], [(1, row), (0, 2)])]
+        for xs, terms in cases:
+            want = np.broadcast_shapes(np.shape(xs), *(np.shape(c) for _, c in terms))
+            for out in (ctx.power_sum(terms, xs), ctx.power_sum_at_logs(terms, np.minimum(xs, q1 - 1))):
+                assert type(out) is np.ndarray and out.dtype == np.int64 and out.shape == want
+                assert not np.shares_memory(out, ctx._exp) and not np.shares_memory(out, row)
+                assert not np.shares_memory(out, xs)
 
 
 def test_frob_vec_keeps_zero_over_f2():

@@ -313,6 +313,38 @@ def test_line_scan_witness_and_partition_match_brute_force():
                 assert (rep.size == (ctx.order - 1) // (ctx.q - 1)) == verdict.scattered
 
 
+def test_chunked_line_scan_matches_one_shot():
+    # blocks of 4 line points split M = 10, 21 and 31 into several blocks,
+    # the last one ragged; lines, verdicts, witnesses and spectra stay those
+    # of one evaluation and of the per-x ratios
+    rng = random.Random(83)
+    witnesses = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sc, "_SCAN_BLOCK", 4)
+        for ctx in LINE_FIELDS():
+            q, M = ctx.q, (ctx.order - 1) // (ctx.q - 1)
+            assert M > 8 and M % 4
+            polys = [lp.QPoly.monomial(ctx, 1), lp.QPoly(ctx, [1])]
+            polys += [lp.QPoly.from_encs(ctx, [rng.randrange(ctx.order) for _ in range(ctx.d)]) for _ in range(3)]
+            for f in polys:
+                if f.is_zero():
+                    continue
+                for t in range(ctx.d):
+                    lines, _ = sc._line_ratios(f, t)
+                    assert lines.tolist() == ctx.power_sum_at_logs(sc._ratio_terms(f, t), np.arange(M)).tolist()
+                    verdict, rep = sc.scatter_report(f, t)
+                    expected = first_brute_witness(f, t)
+                    assert verdict == sc.scatter_test(f, t) and verdict.scattered == (expected is None)
+                    if expected is not None:
+                        assert tuple(w.val for w in verdict.witness) == expected
+                        witnesses += 1
+                    # fibers of the per-x ratios: q^w - 1 elements over a point of weight w
+                    fibers = np.bincount(_divided_ratios(f, t)[1])
+                    assert rep.weight_spectrum == {w: int(fibers[q ** w - 1]) for w in range(1, ctx.d + 1)
+                                                   if q ** w - 1 < len(fibers) and fibers[q ** w - 1]}
+    assert witnesses > 0
+
+
 def test_linear_set_partition_identity():
     rng = random.Random(43)
     for ctx in SMALL_FIELDS():
