@@ -19,11 +19,14 @@ p = 2 scalar addition is XOR, the native addition of the encoding.  The one arra
 kernel is `FieldCtx.power_sum_at_logs`, which evaluates sum c * x^m at
 x = gen^k from the exponents k, with every term kept as a log (m * k + log c)
 until one antilog gather at the end; a scan over a range of k never reads a
-log.  `FieldCtx.power_sum` is that kernel on log x, and the other array
+log, and `FieldCtx.log_power_sum_at_logs` is the same sum ending in its log.
+`FieldCtx.power_sum` is that kernel on log x, and the other array
 operations are power sums (u * v is v * u^1, u + v is 1 * u^1 + v * u^0, 1/u
 is u^(order - 2)).  Coordinates over F_q are remainders modulo the minimal
 polynomial of g over F_q.  `FieldCtx.enc` is the one rule that turns an int or
-an element into an encoding.
+an element into an encoding.  `FieldCtx.line_orbits` gives the orbits of a
+Frobenius power on the F_q^*-lines {gen^(k + jM)} from integer arithmetic on
+k alone.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ TABLE_CEILING = 1 << 26
 # through lookup tables of about _BUILD_TABLE entries, so both stay in L2.
 _BUILD_BLOCK = 1 << 14
 _BUILD_TABLE = 1 << 11
+# line_orbits filters _ORBIT_BLOCK candidate lines at a time
+_ORBIT_BLOCK = 1 << 14
 
 
 class FieldError(ValueError):
@@ -205,6 +210,7 @@ class FieldCtx:
         self._subfield_elems = None
         self._subfield_minpoly = None
         self._mulgen_enc = None
+        self._line_orbits = {}
 
     # -- identity ----------------------------------------------------------
 
@@ -477,6 +483,12 @@ class FieldCtx:
         # q^s unreduced: reduced mod order - 1 it is 0 over F_2, read as x^0
         return self.pow_vec(u, self.q ** s)
 
+    def log_vec(self, xs):
+        """Discrete logs to the multiplicative generator of the encodings
+        xs, -1 at 0, as a new int32 array."""
+        self._ensure_tables()
+        return self._log[np.asarray(xs, dtype=np.int64)]
+
     def power_sum(self, terms, xs):
         """sum c * x^m over the (m, c) pairs of `terms`, as a new int64 array.
 
@@ -485,8 +497,7 @@ class FieldCtx:
         c is an encoding or an array of encodings broadcasting against xs.
 
         It is power_sum_at_logs applied to log x."""
-        self._ensure_tables()
-        return self.power_sum_at_logs(terms, self._log[np.asarray(xs, dtype=np.int64)])
+        return self.power_sum_at_logs(terms, self.log_vec(xs))
 
     def power_sum_at_logs(self, terms, ks):
         """power_sum at x = gen^k for each k of `ks`, where gen is the
@@ -498,6 +509,34 @@ class FieldCtx:
         (m * k mod (order - 1)) + log c, at most 2(order - 2), so it indexes
         the doubled tables as it is.  Terms are added as Zech logs for odd p
         and as XORed antilogs for p = 2; one antilog gather ends the sum."""
+        acc, lx = self._sum_at_logs(terms, ks)
+        if acc is None:
+            return np.zeros(lx.shape, dtype=np.int64)
+        if self.p > 2:
+            # acc is a new array of logs (or a scalar): the antilogs overwrite it
+            acc = np.asarray(acc)
+            np.take(self._exp, acc, out=acc, mode="wrap")
+        return _shaped(acc, lx.shape, np.int64)
+
+    def log_power_sum_at_logs(self, terms, ks):
+        """The log of power_sum_at_logs(terms, ks), reduced to
+        [0, order - 1) and -1 where the sum is 0, as a new int32 array.  For
+        odd p the Zech sum already ends in a log, reduced here by one
+        subtraction; for p = 2 the XORed antilogs take one log gather."""
+        acc, lx = self._sum_at_logs(terms, ks)
+        if acc is None:
+            return np.full(lx.shape, -1, dtype=np.int32)
+        if self.p == 2:
+            acc = self._log[acc]
+        else:
+            acc = np.asarray(acc)
+            np.subtract(acc, self.order - 1, out=acc, where=acc >= self.order - 1)
+        return _shaped(acc, lx.shape, np.int32)
+
+    def _sum_at_logs(self, terms, ks):
+        """(acc, lx): lx = ks as an array and acc the power sum at gen^k,
+        held as logs of at most 2(order - 2) for odd p and as int32
+        encodings for p = 2; None when every coefficient is 0."""
         self._ensure_tables()
         lx = np.asarray(ks)
         q1 = self.order - 1
@@ -525,17 +564,7 @@ class FieldCtx:
                 acc ^= lt
             else:
                 acc = acc ^ lt
-        if acc is None:
-            return np.zeros(lx.shape, dtype=np.int64)
-        if self.p > 2:
-            # acc is a new array of logs (or a scalar): the antilogs overwrite it
-            acc = np.asarray(acc)
-            np.take(self._exp, acc, out=acc, mode="wrap")
-        out = np.asarray(acc, dtype=np.int64)
-        if out.shape != lx.shape:  # constant terms alone miss the shape of ks
-            shape = np.broadcast_shapes(lx.shape, out.shape)
-            out = out if out.shape == shape else np.broadcast_to(out, shape).copy()
-        return out
+        return acc, lx
 
     def _term_log(self, lx, mr, lc, x_zero):
         """log(c * x^m) from lx = log x, mr = m mod (order - 1) for m > 0 and
@@ -643,6 +672,40 @@ class FieldCtx:
             self._subfield_elems = self.subfield_of_size_elems(self.q)
         return self._subfield_elems
 
+    def line_orbits(self, r: int):
+        """The orbits of tau(x) = x^(p^r), r a divisor of N, on the
+        F_q^*-lines: line k, 0 <= k < M = (order - 1)/(q - 1), holds the
+        points gen^(k + jM), and tau maps it to line P*k mod M, P = p^r.
+
+        Returns (leaders, sizes), the least line of each orbit, ascending, and
+        the orbit sizes as int8, computed once per r; the leaders are int32
+        when P*M < 2^31, else int64.  For r = N every line is
+        its own orbit and the result is (None, 1).  Candidates are filtered in
+        blocks of _ORBIT_BLOCK lines; pass j drops those above their j-th
+        conjugate.  No table is read."""
+        n_orb = self.N // r
+        if n_orb == 1:
+            return None, 1
+        orbits = self._line_orbits.get(r)
+        if orbits is not None:
+            return orbits
+        M, P = (self.order - 1) // (self.q - 1), self.p ** r
+        # the conjugates are formed as P*k < P*M, in int32 where that fits
+        dtype = np.int32 if P * M < 1 << 31 else np.int64
+        leaders, sizes = [], []
+        for lo in range(0, M, _ORBIT_BLOCK):
+            ks = np.arange(lo, min(lo + _ORBIT_BLOCK, M), dtype=dtype)
+            conj = ks.copy()
+            for _ in range(n_orb - 1):
+                conj *= P
+                conj -= conj // M * M
+                keep = ks <= conj
+                ks, conj = ks[keep], conj[keep]
+            leaders.append(ks)
+            sizes.append(orbit_sizes(ks, P, n_orb, M).astype(np.int8))
+        orbits = self._line_orbits[r] = np.concatenate(leaders), np.concatenate(sizes)
+        return orbits
+
     def subfield_coords(self, v: int):
         """Coordinates of v over F_q in the power basis 1, g, ..., g^(n-1).
 
@@ -742,6 +805,37 @@ class FFElt:
 
     def __repr__(self):
         return "<" + ",".join(str(c) for c in self.coeffs) + ">"
+
+
+def mulmod(a, m, n: int) -> np.ndarray:
+    """a * m mod n as a new int64 array, broadcasting, for integer arrays or
+    ints a and m of values in [-1, n), n <= 2^26, so every product stays
+    below 2^52 in magnitude; floor division by a scalar is numpy's fast
+    path, % is not."""
+    out = np.multiply(a, m, dtype=np.int64)
+    out -= out // n * n
+    return out
+
+
+def orbit_sizes(ks, P: int, count: int, n: int) -> np.ndarray:
+    """The sizes of the orbits of the ks under k -> P*k mod n, where
+    P^count = 1 mod n, as int64: the least divisor j of count with
+    k*(P^j - 1) = 0 mod n."""
+    sizes = np.full(np.shape(ks), count, dtype=np.int64)
+    for j in range(count - 1, 0, -1):  # the least fixing divisor is written last
+        if count % j == 0:
+            sizes[mulmod(ks, (P ** j - 1) % n, n) == 0] = j
+    return sizes
+
+
+def _shaped(acc, shape, dtype) -> np.ndarray:
+    """acc as an array of the given shape and dtype: a sum of constant terms
+    alone misses the shape of the points."""
+    out = np.asarray(acc, dtype=dtype)
+    if out.shape != shape:
+        shape = np.broadcast_shapes(shape, out.shape)
+        out = out if out.shape == shape else np.broadcast_to(out, shape).copy()
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,17 @@ q^w - 1 elements is (q^w - 1)/(q - 1) lines.  The witness is the first pair
 of the full canonical order, found by walking encodings up to the first
 element of a shared ratio and taking its least mate off its own line.
 
-The sweep ranks one scalar per orbit.  With mu a nonzero coefficient of f and
-r the least divisor of N = e*d for which tau(x) = x^(p^r) fixes every f_i/mu,
-the kernel dimension is constant on each orbit {mu*tau^k(c/mu)}; only the
-least encoding of each orbit is ranked, in ascending order, and the other
-scalars of the orbit copy its dimension.  r = N leaves every scalar alone
-(the full sweep); a monomial has r = 1 and about order/N orbits.
+Both routes use the Frobenius symmetry of f.  With mu a nonzero coefficient
+of f and r the least divisor of N = e*d for which tau(x) = x^(p^r) fixes
+every f_i/mu, the kernel dimension is constant on each orbit
+{mu*tau^k(c/mu)} of scalars, and the ratio over mu commutes with tau.  The
+sweep ranks only the least encoding of each scalar orbit, in ascending
+order, and the other scalars of the orbit copy its dimension.  The fiber
+scan evaluates one line per orbit of tau on the lines, and the ratio on
+the other lines of the orbit is a power of it (see _line_scan).  r = N
+leaves every scalar and line alone; a monomial has r = 1 and about 1/N as
+many orbits as scalars or lines.  f lifted from F_(q^n) into F_(q^(mn))
+has r dividing n*e, so an extension scan reads about one line in m.
 
 Also here: linear-set weight spectra, extension-field scans, the decision
 predicates for guaranteed non-scatteredness, the pair-product image, and the
@@ -33,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,7 +52,14 @@ REASON_INEQUALITY = "component bound inequality with k <= n/4"
 
 _INLINE_CROSSCHECK_MAX = 1 << 12
 _CHUNK = 1 << 13  # scalars per batched elimination
-_SCAN_BLOCK = 1 << 14  # line points per evaluation of the line scan
+_SCAN_BLOCK = 1 << 16  # conjugate logs per block of the line scan, N/r per leader
+_WALK_BLOCK = 1 << 6  # encodings in the first block of the witness walk
+_KEY_BITS = 5  # a line orbit size less 1, at most N - 1 <= 25, below the class in a scan key
+_SIZE_MASK = (1 << _KEY_BITS) - 1
+# the line scan takes the group <tau> only when it saves this many lines:
+# below that the orbit bookkeeping costs more than the lines it saves
+_ORBIT_SCAN_MIN = 1 << 14
+_NO_POWERS = np.ones(1, dtype=np.int64)  # the trivial group: P^0 alone
 
 
 @dataclass(frozen=True)
@@ -76,51 +89,144 @@ def _ratio_terms(f: QPoly, t: int):
     return [((pow(q, j, q1) - pow(q, t, q1)) % q1, c) for j, c in enumerate(f.encs) if c]
 
 
-def _line_ratios(f: QPoly, t: int, ceiling=None):
-    """The ratio on each F_q^*-line and the number of lines over each ratio.
+class _LineScan(NamedTuple):
+    """The orbit scan of a pair; see _line_scan."""
+    mu: int  # a nonzero coefficient of f, or 1 for the trivial group
+    terms: list  # the ratio over mu as power-sum terms
+    evaluate: Callable  # (terms, ks) -> the value each class is read from at gen^k
+    P: int  # tau(x) = x^P
+    powers: np.ndarray  # P^j mod (order - 1), j < N/r
+    leaders: np.ndarray | None  # the orbit leaders among the lines (None: every line)
+    sizes: np.ndarray | int  # their line orbit sizes
+    bits: int  # _KEY_BITS, or 0 for the trivial group, whose line orbits are single lines
+    keys: np.ndarray  # per leader: its class << bits | its line orbit size less 1
+    ranked: np.ndarray  # the keys ascending
+    spread: bool  # some line orbit is larger than the orbit of its ratio
 
-    F_q^* is generated by gen^M, M = (order - 1)/(q - 1), so the lines are
-    {gen^(k + jM)} and x = gen^k, 0 <= k < M, is one point of each; every
-    exponent q^j - q^t is a multiple of q - 1, so the ratio is constant on a
-    line.  lines[k] is the ratio at gen^k, evaluated from k itself in
-    blocks of _SCAN_BLOCK exponents: block-sized temporaries are reused from
-    the heap whatever state earlier allocations left it in, where line-length
-    ones could be faulted in afresh on every scan."""
+
+def _ratio_orbits(lr, powers, q1: int):
+    """(least, fixed) for each log of lr: the least log of the orbit of its
+    ratio under y -> y^P, the ratio's class, and the number of j < N/r with
+    P^j fixing the ratio, (N/r)/|C|.  The ratio 0 (log -1) is its own class
+    -1 and fixed by every j.  powers holds P^j mod q1; for r = N the group
+    is trivial and no pass is made."""
+    if len(powers) == 1:
+        return lr, 1
+    base = np.maximum(lr, 0)  # the ratio 0 as the ratio 1: fixed by every j
+    conj = gf.mulmod(base, powers[:, None], q1)  # row j: the j-th conjugates
+    least = np.minimum(conj.min(axis=0), lr)
+    return least, (conj == base).sum(axis=0)
+
+
+def _line_scan(f: QPoly, t: int, ceiling=None) -> _LineScan:
+    """The fiber scan over one line per orbit of <tau>, tau(x) = x^P.
+
+    With (mu, r) = _frobenius_symmetry(f) and P = p^r, the ratio R' = R/mu
+    has R'(tau x) = tau(R'(x)), and tau maps line k to line P*k mod M, so the
+    log of R' on line P^j*k is P^j times its log on line k, mod order - 1.
+    R' is evaluated at the orbit leaders only (FieldCtx.line_orbits), in
+    blocks whose N/r conjugate logs fill _SCAN_BLOCK.  Each leader is keyed
+    by its class, the least log of its ratio's orbit C, and by the size of
+    its line orbit O >= |C|.  The T lines of a class spread evenly over its
+    |C| ratios, so each ratio lies on T/|C| lines, and the pair is scattered
+    iff no two leaders share a class and no line orbit is larger than its
+    ratio's (T = |C|).  For r = N the group is trivial: every line is a
+    leader and its own class.  The scan takes the trivial group as well
+    when the orbits would save fewer than _ORBIT_SCAN_MIN lines."""
     ctx = f.ctx
     check_ceiling(ctx.order, ceiling)
+    q1 = ctx.order - 1
+    M = q1 // (ctx.q - 1)
+    mu, r = _frobenius_symmetry(f) if M >= _ORBIT_SCAN_MIN else (1, ctx.N)
+    if M - M * r // ctx.N < _ORBIT_SCAN_MIN:  # the orbits leave about M/(N/r) leaders
+        mu, r = 1, ctx.N
+    n_orb, P = ctx.N // r, ctx.p ** r
+    powers = np.array([pow(P, j, q1) for j in range(n_orb)], dtype=np.int64) if n_orb > 1 else _NO_POWERS
     terms = _ratio_terms(f, t)
-    lines = np.empty((ctx.order - 1) // (ctx.q - 1), dtype=np.int64)
-    for lo in range(0, len(lines), _SCAN_BLOCK):
-        ks = np.arange(lo, min(lo + _SCAN_BLOCK, len(lines)), dtype=np.int64)
-        lines[lo : lo + len(ks)] = ctx.power_sum_at_logs(terms, ks)
-    return lines, np.bincount(lines, minlength=ctx.order)
+    if mu != 1:
+        imu = ctx.inv_i(mu)
+        terms = [(m, ctx.mul_i(c, imu)) for m, c in terms]
+    # a class is the least log of a ratio's orbit; under the trivial group a
+    # ratio is its own class, and for p = 2 the XOR sum is the ratio itself,
+    # where its log would take one more gather
+    evaluate = ctx.power_sum_at_logs if n_orb == 1 and ctx.p == 2 else ctx.log_power_sum_at_logs
+    leaders, sizes = ctx.line_orbits(r)
+    count = M if leaders is None else len(leaders)
+    keys = np.empty(count, dtype=np.int32)
+    spread = False
+    step = max(1, _SCAN_BLOCK // n_orb)
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        ks = np.arange(lo, hi, dtype=np.int64) if leaders is None else leaders[lo:hi]
+        size = sizes if leaders is None else sizes[lo:hi]
+        least, fixed = _ratio_orbits(evaluate(terms, ks), powers, q1)
+        if n_orb > 1:
+            spread = spread or bool((fixed * size != n_orb).any())
+            least <<= _KEY_BITS
+            least |= size - 1
+        keys[lo:hi] = least  # below 2^31
+    bits = _KEY_BITS if n_orb > 1 else 0
+    return _LineScan(mu, terms, evaluate, P, powers, leaders, sizes, bits, keys, np.sort(keys), spread)
+
+
+def _classes(ctx: FieldCtx, scan: _LineScan):
+    """(classes, per_value, values): the distinct classes ascending, and per
+    class the number of lines over each of its ratios, T/|C|, and its
+    number of ratios, |C|."""
+    cls = scan.ranked >> scan.bits
+    starts = np.flatnonzero(np.concatenate(([True], cls[1:] != cls[:-1])))
+    classes = cls[starts]
+    # a line per leader, and the rest of its orbit from the low bits
+    lines = np.diff(starts, append=len(cls)) + np.add.reduceat(scan.ranked & ((1 << scan.bits) - 1), starts)
+    # the ratio 0 counts as the ratio 1, a single ratio
+    values = gf.orbit_sizes(np.maximum(classes, 0), scan.P, len(scan.powers), ctx.order - 1)
+    per_value = lines // values
+    if (per_value * values != lines).any():
+        raise FieldError("internal error: a class's lines do not spread evenly over its ratios")
+    return classes, per_value, values
+
+
+def _line_ratios(f: QPoly, t: int, ceiling=None):
+    """The ratio at gen^k on every line k < M, expanded from the orbit
+    scan's leaders: line P^j*k mod M of a leader k carries
+    mu * gen^(P^j * log R'(gen^k)).  The tests' view of the scan."""
+    ctx = f.ctx
+    scan = _line_scan(f, t, ceiling)
+    q1 = ctx.order - 1
+    M = q1 // (ctx.q - 1)
+    ks = np.arange(M, dtype=np.int64) if scan.leaders is None else scan.leaders
+    logs = ctx.log_power_sum_at_logs(scan.terms, ks)
+    lines = np.empty(M, dtype=np.int64)
+    for power in scan.powers.tolist():
+        conj = np.where(logs < 0, -1, gf.mulmod(logs, power, q1))
+        lines[gf.mulmod(ks, power % M, M)] = ctx.power_sum_at_logs([(1, scan.mu)], conj)
+    return lines
 
 
 def _ratio_counts(f: QPoly, t: int, ceiling=None):
     """The per-x view of the line scan: (xs, ratios, counts) with xs every
     nonzero x ascending, ratios[i] the ratio at xs[i] and counts[c] the
-    number of x with ratio c (q - 1 per line).  x = gen^k lies on line
-    k mod M, so the line ratios tiled q - 1 times are the ratios at gen^0,
-    gen^1, ..., placed at their encodings."""
+    number of x with ratio c.  x = gen^k lies on line k mod M, so the line
+    ratios tiled q - 1 times are the ratios at gen^0, gen^1, ..., placed at
+    their encodings."""
     ctx = f.ctx
-    lines, line_counts = _line_ratios(f, t, ceiling)
     powers = ctx.power_sum_at_logs([(1, 1)], np.arange(ctx.order - 1, dtype=np.int64))
     ratios = np.empty(ctx.order - 1, dtype=np.int64)
-    ratios[powers - 1] = np.tile(lines, ctx.q - 1)
-    return np.arange(1, ctx.order, dtype=np.int64), ratios, line_counts * (ctx.q - 1)
+    ratios[powers - 1] = np.tile(_line_ratios(f, t, ceiling), ctx.q - 1)
+    return np.arange(1, ctx.order, dtype=np.int64), ratios, np.bincount(ratios, minlength=ctx.order)
 
 
 def scatter_test(f: QPoly, t: int, ceiling=None) -> ScatterVerdict:
     """Fiber-count scatteredness test for an arbitrary nonzero pair (f, t).
 
-    The ratio is scanned on one x per F_q^*-line (see _line_ratios); the pair
-    is scattered iff no two lines share a ratio.  The witness, present iff
-    not scattered, is the first pair (x, y) in canonical order with equal
-    ratios and y/x outside F_q.
+    The ratio is scanned on one line per Frobenius orbit (see _line_scan);
+    the pair is scattered iff no two lines share a ratio.  The witness,
+    present iff not scattered, is the first pair (x, y) in canonical order
+    with equal ratios and y/x outside F_q.
     """
     if f.is_zero():
         raise FieldError("scatteredness is undefined for the zero map")
-    return _fiber_verdict(f, t, *_line_ratios(f, t, ceiling))
+    return _fiber_verdict(f, _line_scan(f, t, ceiling))
 
 
 def scatter_report(f: QPoly, t: int, ceiling=None) -> tuple[ScatterVerdict, LinearSetReport]:
@@ -128,32 +234,53 @@ def scatter_report(f: QPoly, t: int, ceiling=None) -> tuple[ScatterVerdict, Line
     line scan."""
     if f.is_zero():
         raise FieldError("scatteredness is undefined for the zero map")
-    lines, line_counts = _line_ratios(f, t, ceiling)
-    return _fiber_verdict(f, t, lines, line_counts), _weight_spectrum(f.ctx, line_counts)
+    scan = _line_scan(f, t, ceiling)
+    return _fiber_verdict(f, scan), _weight_spectrum(f.ctx, scan)
 
 
-def _fiber_verdict(f: QPoly, t: int, lines, line_counts) -> ScatterVerdict:
-    """The verdict from the line scan, with the first witness in canonical
-    order.  x is the least encoding whose ratio is shared by two lines or
-    more: encodings are walked in blocks that double from _CHUNK, and the
+def _fiber_verdict(f: QPoly, scan: _LineScan) -> ScatterVerdict:
+    """The verdict from the orbit scan, with the first witness in canonical
+    order.  x is the least encoding whose ratio lies on two lines or more:
+    encodings are walked in blocks that double from _WALK_BLOCK, and the
     walk stops at the first block holding one.  Its mates are the points of
-    the lines over its ratio, and y is the least of them off the line of x."""
-    ctx = f.ctx
-    if line_counts.max() <= 1:
+    the lines over its ratio, the conjugates of the leaders of its class
+    whose log is that of x, and y is the least of them off the line of x."""
+    # T = |C| for every class: no line orbit is larger than its ratio's, so
+    # the leaders of one class share one key, and no two leaders share a key
+    if not scan.spread and (scan.ranked[1:] != scan.ranked[:-1]).all():
         return ScatterVerdict(True, None)
-    terms = _ratio_terms(f, t)
-    start, size = 1, _CHUNK
+    ctx = f.ctx
+    q1 = ctx.order - 1
+    M = q1 // (ctx.q - 1)
+    start, size = 1, _WALK_BLOCK
     while True:
         xs = np.arange(start, min(start + size, ctx.order), dtype=np.int64)
-        ratios = ctx.power_sum(terms, xs)
-        fat = line_counts[ratios] > 1
+        logs = scan.evaluate(scan.terms, ctx.log_vec(xs))
+        least, fixed = _ratio_orbits(logs, scan.powers, q1)
+        # the ratio of x lies on two lines or more iff its class holds two
+        # leaders or more, or one whose line orbit is larger than the ratio's
+        first = (least << scan.bits).astype(np.int32)  # the keys' dtype: no cast of ranked
+        lo = np.searchsorted(scan.ranked, first)
+        fat = np.searchsorted(scan.ranked, first + (1 << scan.bits)) - lo > 1
+        if len(scan.powers) > 1:
+            fat |= ((scan.ranked[lo] & _SIZE_MASK) + 1) * fixed != len(scan.powers)
         if fat.any():
             break
         start, size = start + size, 2 * size
     idx = int(np.argmax(fat))
-    x_enc = int(xs[idx])
+    x_enc, target = int(xs[idx]), int(logs[idx])
+    hit = np.flatnonzero(scan.keys >> scan.bits == least[idx])
+    on = hit if scan.leaders is None else scan.leaders[hit]
+    if len(scan.powers) > 1:
+        # the conjugate lines of each leader, j below its orbit size, whose
+        # log is that of x (every conjugate of a zero leader is zero)
+        match = np.arange(len(scan.powers)) < scan.sizes[hit][:, None]
+        if target >= 0:
+            logs = scan.evaluate(scan.terms, on)
+            match &= gf.mulmod(logs[:, None], scan.powers, q1) == target
+        on = gf.mulmod(on[:, None], scan.powers % M, M)[match]  # M divides q1
     # the points gen^(k + jM) of the lines over the ratio of x
-    ks = np.flatnonzero(lines == ratios[idx])[:, None] + len(lines) * np.arange(ctx.q - 1)
+    ks = on[:, None] + M * np.arange(ctx.q - 1)
     mates = np.sort(ctx.power_sum_at_logs([(1, 1)], ks.ravel()))
     ix = ctx.inv_i(x_enc)
     for m in mates.tolist():
@@ -346,14 +473,19 @@ def _frobenius_symmetry(f: QPoly) -> tuple[int, int]:
     ker(c*X^(q^t) - f) = ker((c/mu)*X^(q^t) - f/mu), and tau maps it onto the
     kernel for tau(c/mu), so the kernel dimension is constant on each orbit
     {mu*tau^k(c/mu)}.  Any other nonzero coefficient gives the same r and the
-    same orbits."""
+    same orbits.  r is read from the logs of the coefficients: tau fixes x
+    iff (p^r - 1)*log x = 0 mod (order - 1)."""
     ctx = f.ctx
-    mu = next((v for v in f.encs if v), 1)
-    imu = ctx.inv_i(mu)
-    gs = [ctx.mul_i(v, imu) for v in f.encs if v]
-    r = next(r for r in range(1, ctx.N + 1)
-             if ctx.N % r == 0 and all(ctx.pow_i(g, ctx.p ** r) == g for g in gs))
-    return mu, r
+    nonzero = [v for v in f.encs if v]
+    if not nonzero:
+        return 1, 1
+    q1 = ctx.order - 1
+    logs = ctx.log_vec(nonzero).tolist()
+    # f_i/mu = gen^(log f_i - log mu) lies in F_(p^r) iff its order divides
+    # p^r - 1, and the least common multiple of those orders is q1/g
+    g = math.gcd(q1, *(lg - logs[0] for lg in logs))
+    r = next(r for r in range(1, ctx.N + 1) if ctx.N % r == 0 and (ctx.p ** r - 1) % (q1 // g) == 0)
+    return nonzero[0], r
 
 
 def _conjugate(ctx: FieldCtx, mu: int, cs: np.ndarray, r: int, k: int) -> np.ndarray:
@@ -451,14 +583,15 @@ def linear_set_report_raw(f: QPoly, t: int, ceiling=None) -> LinearSetReport:
     """
     if f.is_zero():
         raise FieldError("the zero map defines no linear set of full rank")
-    return _weight_spectrum(f.ctx, _line_ratios(f, t, ceiling)[1])
+    return _weight_spectrum(f.ctx, _line_scan(f, t, ceiling))
 
 
-def _weight_spectrum(ctx: FieldCtx, line_counts) -> LinearSetReport:
+def _weight_spectrum(ctx: FieldCtx, scan: _LineScan) -> LinearSetReport:
     q = ctx.q
     by_size = {(q ** w - 1) // (q - 1): w for w in range(1, ctx.d + 1)}
+    _, per_value, values = _classes(ctx, scan)
     spectrum: dict[int, int] = {}
-    ratios_by_size = np.bincount(line_counts)
+    ratios_by_size = np.bincount(per_value, weights=values)
     for lsize in np.flatnonzero(ratios_by_size[1:]) + 1:
         w = by_size.get(int(lsize))
         if w is None:

@@ -134,6 +134,9 @@ def test_power_sum_matches_scalar_arithmetic(case):
     out = ctx.power_sum(terms, xs)
     shape = np.broadcast_shapes(xs.shape, *(np.shape(c) for _, c in terms))
     assert out.dtype == np.int64 and out.shape == shape
+    # the log-valued kernel: reduced logs, -1 where the sum is 0
+    logs = ctx.log_power_sum_at_logs(terms, ctx.log_vec(xs))
+    assert logs.dtype == np.int32 and logs.tolist() == ctx.log_vec(out).tolist()
     for idx in np.ndindex(shape):
         x = int(xs[idx[0]] if xs.ndim == 1 else xs[idx[0], 0])
         cs = [(m, int(c if np.ndim(c) == 0 else c[idx[-1]])) for m, c in terms]

@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from scatterpoly import gf, linpoly as lp, scattered as sc
 
@@ -314,14 +315,20 @@ def test_line_scan_witness_and_partition_match_brute_force():
 
 
 def test_chunked_line_scan_matches_one_shot():
-    # blocks of 4 line points split M = 10, 21 and 31 into several blocks,
-    # the last one ragged; lines, verdicts, witnesses and spectra stay those
-    # of one evaluation and of the per-x ratios
+    # the orbit scan on every field, blocks of 4 conjugates and of 3 candidate
+    # lines (fresh fields, so no orbits are cached), and a witness walk that
+    # starts at 2 encodings: M = 10, 21 and 31 split into several blocks, the
+    # last one ragged; the lines expanded from the leaders, verdicts,
+    # witnesses and spectra stay those of one evaluation and of the per-x
+    # ratios
     rng = random.Random(83)
     witnesses = 0
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sc, "_SCAN_BLOCK", 4)
-        for ctx in LINE_FIELDS():
+        mp.setattr(sc, "_ORBIT_SCAN_MIN", 0)
+        mp.setattr(sc, "_WALK_BLOCK", 2)
+        mp.setattr(gf, "_ORBIT_BLOCK", 3)
+        for ctx in [gf.FieldCtx(c.p, c.e, c.d, c.modulus) for c in LINE_FIELDS()]:
             q, M = ctx.q, (ctx.order - 1) // (ctx.q - 1)
             assert M > 8 and M % 4
             polys = [lp.QPoly.monomial(ctx, 1), lp.QPoly(ctx, [1])]
@@ -330,7 +337,7 @@ def test_chunked_line_scan_matches_one_shot():
                 if f.is_zero():
                     continue
                 for t in range(ctx.d):
-                    lines, _ = sc._line_ratios(f, t)
+                    lines = sc._line_ratios(f, t)
                     assert lines.tolist() == ctx.power_sum_at_logs(sc._ratio_terms(f, t), np.arange(M)).tolist()
                     verdict, rep = sc.scatter_report(f, t)
                     expected = first_brute_witness(f, t)
@@ -343,6 +350,123 @@ def test_chunked_line_scan_matches_one_shot():
                     assert rep.weight_spectrum == {w: int(fibers[q ** w - 1]) for w in range(1, ctx.d + 1)
                                                    if q ** w - 1 < len(fibers) and fibers[q ** w - 1]}
     assert witnesses > 0
+
+
+def test_line_orbits_match_brute_force():
+    # the orbits of k -> P*k mod M on the lines, P = p^r, for every divisor
+    # r of N, against the orbits walked one line at a time; 5-line candidate
+    # blocks (fresh fields, so nothing is cached) split the lines into
+    # several blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gf, "_ORBIT_BLOCK", 5)
+        for p, e, d, *modulus in ORBIT_FIELDS:
+            ctx = gf.FieldCtx(p, e, d, modulus=modulus[0] if modulus else None)
+            M = (ctx.order - 1) // (ctx.q - 1)
+            for r in [r for r in range(1, ctx.N + 1) if ctx.N % r == 0]:
+                leaders, sizes = ctx.line_orbits(r)
+                if r == ctx.N:
+                    assert (leaders, sizes) == (None, 1)
+                    continue
+                orbits = {}
+                for k in range(M):
+                    orbit = {k * p ** (r * j) % M for j in range(ctx.N // r)}
+                    orbits[min(orbit)] = len(orbit)
+                assert leaders.tolist() == sorted(orbits)
+                assert sizes.tolist() == [orbits[k] for k in sorted(orbits)]
+                assert ctx.line_orbits(r)[0] is leaders
+
+
+# fields with a proper subfield, of order at most 256, e > 1 among them
+SUBFIELD_FIELDS = [(2, 1, 4), (2, 1, 6), (2, 1, 8), (2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 3, 2), (2, 4, 2),
+                   (3, 1, 2), (3, 1, 4), (3, 2, 2), (5, 1, 2), (7, 1, 2), (13, 1, 2)]
+
+
+@st.composite
+def orbit_cases(draw):
+    """(f, t, s): f = mu*g with g over a proper subfield F_(p^s), over a field
+    with a random explicit modulus, so the scan's symmetry r divides s;
+    the modulus is the first monic irreducible at or after a random tail
+    encoding, cyclically; indices and t go up to 2d, unreduced ones
+    included.  With probability 1/2
+    g is c*X^(q^a) - c*X^(q^b), which vanishes on F_q, so the zero ratio
+    occurs (the whole map is zero when a = b mod d)."""
+    rnd = draw(st.randoms(use_true_random=False))
+    p, e, d = rnd.choice(SUBFIELD_FIELDS)
+    n, start = e * d, rnd.randrange(p ** (e * d))
+    tails = ([(start + v) % p ** n // p ** i % p for i in range(n)] for v in range(p ** n))
+    modulus = next(tail + [1] for tail in tails if gf.is_irreducible(tail + [1], p))
+    ctx = gf.make_field(p, e, d, modulus=modulus)
+    s = rnd.choice([s for s in range(1, ctx.N) if ctx.N % s == 0])
+    sub = ctx.subfield_of_size_elems(p ** s)
+    g = [rnd.choice(sub) if rnd.random() < 0.6 else 0 for _ in range(rnd.randrange(1, 2 * d + 2))]
+    if rnd.random() < 0.5:
+        a, b = rnd.sample(range(2 * d + 1), 2)
+        c = rnd.choice(sub[1:])
+        g = [0] * (max(a, b) + 1)
+        g[a], g[b] = c, ctx.neg_i(c)
+    assume(any(g))
+    mu = rnd.randrange(1, ctx.order)
+    return lp.QPoly.from_encs(ctx, [ctx.mul_i(mu, v) for v in g]), rnd.randrange(2 * d + 1), s
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(case=orbit_cases())
+def test_orbit_scan_matches_brute_force(case):
+    # the scan over one line per orbit of x -> x^(p^r), on fields small
+    # enough for the per-x oracles: verdict, witness, spectrum, and the
+    # lines over each ratio, read from the classes
+    f, t, s = case
+    ctx, q = f.ctx, f.ctx.q
+    q1, M = ctx.order - 1, (ctx.order - 1) // (ctx.q - 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sc, "_ORBIT_SCAN_MIN", 0)
+        mp.setattr(sc, "_SCAN_BLOCK", 8)
+        mp.setattr(sc, "_WALK_BLOCK", 2)
+        r = sc._frobenius_symmetry(f)[1]
+        scan = sc._line_scan(f, t)
+        verdict, rep = sc.scatter_report(f, t)
+        classes, per_value, values = sc._classes(ctx, scan)
+        lines = sc._line_ratios(f, t)
+    assert s % r == 0
+    assert r == ctx.N or min(scan.sizes) < ctx.N // r  # line 0 is fixed
+    assert lines.tolist() == ctx.power_sum_at_logs(sc._ratio_terms(f, t), np.arange(M)).tolist()
+    expected = first_brute_witness(f, t)
+    assert verdict.scattered == (expected is None)
+    if expected is not None:
+        assert tuple(w.val for w in verdict.witness) == expected
+    _, counts = _divided_ratios(f, t)
+    fibers = np.bincount(counts)
+    assert rep.weight_spectrum == {w: int(fibers[q ** w - 1]) for w in range(1, ctx.d + 1)
+                                   if q ** w - 1 < len(fibers) and fibers[q ** w - 1]}
+    # class c holds the ratios mu * gen^(c * P^j), each on per_value lines,
+    # that is on per_value * (q - 1) nonzero x
+    per_ratio = {}
+    for c, on, n in zip(classes.tolist(), per_value.tolist(), values.tolist()):
+        logs = [-1] if c < 0 else sorted({c * pow(ctx.p ** r, j, q1) % q1 for j in range(ctx.N // r)})
+        assert len(logs) == n and min(logs) == c
+        for v in ctx.power_sum_at_logs([(1, scan.mu)], np.array(logs)).tolist():
+            per_ratio[v] = on * (q - 1)
+    assert per_ratio == {v: n for v, n in enumerate(counts.tolist()) if n}
+    # the trivial group, which small fields take by default, agrees
+    assert sc.scatter_report(f, t) == (verdict, rep)
+
+
+def test_witness_class_with_one_spread_leader():
+    # the first fat x of these pairs has a ratio whose lines lie in one line
+    # orbit: its class holds a single leader, whose orbit is larger than the
+    # ratio's, so the walk's fat test must read the orbit size as well as the
+    # number of leaders
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sc, "_ORBIT_SCAN_MIN", 0)
+        for (p, e, d), encs, t in (((2, 1, 6), [58, 1, 0, 58, 59], 5), ((2, 2, 5), [1, 0, 236], 3)):
+            ctx = gf.make_field(p, e, d)
+            f = lp.QPoly.from_encs(ctx, encs)
+            scan = sc._line_scan(f, t)
+            verdict = sc._fiber_verdict(f, scan)
+            assert tuple(w.val for w in verdict.witness) == first_brute_witness(f, t)
+            logs = ctx.log_power_sum_at_logs(scan.terms, ctx.log_vec([verdict.witness[0].val]))
+            least = sc._ratio_orbits(logs, scan.powers, ctx.order - 1)[0]
+            assert np.count_nonzero(scan.keys >> scan.bits == least[0]) == 1
 
 
 def test_linear_set_partition_identity():
