@@ -24,9 +24,9 @@ log, and `FieldCtx.log_power_sum_at_logs` is the same sum ending in its log.
 operations are power sums (u * v is v * u^1, u + v is 1 * u^1 + v * u^0, 1/u
 is u^(order - 2)).  Coordinates over F_q are remainders modulo the minimal
 polynomial of g over F_q.  `FieldCtx.enc` is the one rule that turns an int or
-an element into an encoding.  `FieldCtx.line_orbits` gives the orbits of a
-Frobenius power on the F_q^*-lines {gen^(k + jM)} from integer arithmetic on
-k alone.
+an element into an encoding.  `orbit_leaders` filters the orbits of
+k -> P*k mod n from integer arithmetic alone, for `FieldCtx.line_orbits` on
+the F_q^*-lines {gen^(k + jM)} (n = M) and for the sweep's scalar logs.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ TABLE_CEILING = 1 << 26
 # through lookup tables of about _BUILD_TABLE entries, so both stay in L2.
 _BUILD_BLOCK = 1 << 14
 _BUILD_TABLE = 1 << 11
-# line_orbits filters _ORBIT_BLOCK candidate lines at a time
+# orbit_leaders filters _ORBIT_BLOCK candidates at a time
 _ORBIT_BLOCK = 1 << 14
 
 
@@ -678,11 +678,9 @@ class FieldCtx:
         points gen^(k + jM), and tau maps it to line P*k mod M, P = p^r.
 
         Returns (leaders, sizes), the least line of each orbit, ascending, and
-        the orbit sizes as int8, computed once per r; the leaders are int32
-        when P*M < 2^31, else int64.  For r = N every line is
-        its own orbit and the result is (None, 1).  Candidates are filtered in
-        blocks of _ORBIT_BLOCK lines; pass j drops those above their j-th
-        conjugate.  No table is read."""
+        the orbit sizes as int8, computed once per r from orbit_leaders; the
+        leaders are int32 when P*M < 2^31, else int64.  For r = N every line
+        is its own orbit and the result is (None, 1)."""
         n_orb = self.N // r
         if n_orb == 1:
             return None, 1
@@ -690,19 +688,8 @@ class FieldCtx:
         if orbits is not None:
             return orbits
         M, P = (self.order - 1) // (self.q - 1), self.p ** r
-        # the conjugates are formed as P*k < P*M, in int32 where that fits
-        dtype = np.int32 if P * M < 1 << 31 else np.int64
-        leaders, sizes = [], []
-        for lo in range(0, M, _ORBIT_BLOCK):
-            ks = np.arange(lo, min(lo + _ORBIT_BLOCK, M), dtype=dtype)
-            conj = ks.copy()
-            for _ in range(n_orb - 1):
-                conj *= P
-                conj -= conj // M * M
-                keep = ks <= conj
-                ks, conj = ks[keep], conj[keep]
-            leaders.append(ks)
-            sizes.append(orbit_sizes(ks, P, n_orb, M).astype(np.int8))
+        leaders = list(orbit_leaders(M, P, n_orb))
+        sizes = [orbit_sizes(ks, P, n_orb, M).astype(np.int8) for ks in leaders]
         orbits = self._line_orbits[r] = np.concatenate(leaders), np.concatenate(sizes)
         return orbits
 
@@ -826,6 +813,23 @@ def orbit_sizes(ks, P: int, count: int, n: int) -> np.ndarray:
         if count % j == 0:
             sizes[mulmod(ks, (P ** j - 1) % n, n) == 0] = j
     return sizes
+
+
+def orbit_leaders(n: int, P: int, count: int):
+    """The least k of each orbit of k -> P*k mod n, 0 <= k < n, P^count = 1
+    mod n, ascending, lazily: one array per block of _ORBIT_BLOCK candidates,
+    where pass j drops those above their j-th conjugate, in int32 when
+    P*n < 2^31, else int64.  No table is read."""
+    dtype = np.int32 if P * n < 1 << 31 else np.int64
+    for lo in range(0, n, _ORBIT_BLOCK):
+        ks = np.arange(lo, min(lo + _ORBIT_BLOCK, n), dtype=dtype)
+        conj = ks.copy()
+        for _ in range(count - 1):
+            conj *= P
+            conj -= conj // n * n
+            keep = ks <= conj
+            ks, conj = ks[keep], conj[keep]
+        yield ks
 
 
 def _shaped(acc, shape, dtype) -> np.ndarray:

@@ -19,11 +19,11 @@ element of a shared ratio and taking its least mate off its own line.
 Both routes use the Frobenius symmetry of f.  With mu a nonzero coefficient
 of f and r the least divisor of N = e*d for which tau(x) = x^(p^r) fixes
 every f_i/mu, the kernel dimension is constant on each orbit
-{mu*tau^k(c/mu)} of scalars, and the ratio over mu commutes with tau.  The
-sweep ranks only the least encoding of each scalar orbit, in ascending
-order, and the other scalars of the orbit copy its dimension.  The fiber
-scan evaluates one line per orbit of tau on the lines, and the ratio on
-the other lines of the orbit is a power of it (see _line_scan).  r = N
+{mu*tau^k(c/mu)} of scalars, and the ratio over mu commutes with tau.  With
+c = mu*gen^l, tau^k maps l to P^k*l mod (order - 1), P = p^r: the sweep ranks
+0 and then the least l of each orbit, in ascending log(c/mu), and the rest of
+the orbit copies its dimension.  The fiber scan evaluates one line per orbit
+of tau on the lines; the ratio on the others is a power of it.  r = N
 leaves every scalar and line alone; a monomial has r = 1 and about 1/N as
 many orbits as scalars or lines.  f lifted from F_(q^n) into F_(q^(mn))
 has r dividing n*e, so an extension scan reads about one line in m.
@@ -192,14 +192,13 @@ def _line_ratios(f: QPoly, t: int, ceiling=None):
     mu * gen^(P^j * log R'(gen^k)).  The tests' view of the scan."""
     ctx = f.ctx
     scan = _line_scan(f, t, ceiling)
-    q1 = ctx.order - 1
-    M = q1 // (ctx.q - 1)
+    M = (ctx.order - 1) // (ctx.q - 1)
     ks = np.arange(M, dtype=np.int64) if scan.leaders is None else scan.leaders
     logs = ctx.log_power_sum_at_logs(scan.terms, ks)
     lines = np.empty(M, dtype=np.int64)
-    for power in scan.powers.tolist():
-        conj = np.where(logs < 0, -1, gf.mulmod(logs, power, q1))
-        lines[gf.mulmod(ks, power % M, M)] = ctx.power_sum_at_logs([(1, scan.mu)], conj)
+    ratios = _ScalarOrbits(ctx, scan.mu, scan.P, len(scan.powers))  # mu*gen^(P^j * log R')
+    for j, power in enumerate(scan.powers.tolist()):
+        lines[gf.mulmod(ks, power % M, M)] = ratios.encodings(logs, j)
     return lines
 
 
@@ -488,61 +487,55 @@ def _frobenius_symmetry(f: QPoly) -> tuple[int, int]:
     return nonzero[0], r
 
 
-def _conjugate(ctx: FieldCtx, mu: int, cs: np.ndarray, r: int, k: int) -> np.ndarray:
-    """mu*tau^k(c/mu) = mu^(1-P) * c^P for each scalar c of cs, where
-    tau(x) = x^(p^r) and P = p^(r*k): a one-term power sum."""
-    P = ctx.p ** (r * k)
-    return ctx.power_sum([(P, ctx.pow_i(mu, (1 - P) % (ctx.order - 1)))], cs)
+class _ScalarOrbits(NamedTuple):
+    """The orbits {mu*tau^k(c/mu)} of the scalars c (see _frobenius_symmetry)
+    in the log domain: c = mu*gen^l, and tau^k maps l to P^k*l mod
+    (order - 1), P = p^r.  l = -1 stands for c = 0, its own orbit."""
+    ctx: FieldCtx
+    mu: int
+    P: int
+    count: int  # N/r: P^count = 1 mod (order - 1)
 
+    def leaders(self):
+        """The least l of each orbit, -1 first, then ascending, in batches of _CHUNK."""
+        pending = np.full(1, -1, dtype=np.int32)
+        for ls in gf.orbit_leaders(self.ctx.order - 1, self.P, self.count):
+            pending = np.concatenate((pending, ls))
+            while len(pending) >= _CHUNK:
+                yield pending[:_CHUNK]
+                pending = pending[_CHUNK:]
+        if len(pending):
+            yield pending
 
-def _orbit_leaders(ctx: FieldCtx, mu: int, r: int):
-    """The scalars that are the least encoding of their orbit {mu*tau^k(c/mu)},
-    ascending, in batches of _CHUNK (the last one shorter).  Candidates are
-    filtered in blocks of _CHUNK * N/r scalars, which hold about _CHUNK
-    leaders; pass k drops the candidates above their k-th conjugate, and 0,
-    the least encoding, stays."""
-    block = _CHUNK * (ctx.N // r)
-    pending = np.empty(0, dtype=np.int64)
-    for start in range(0, ctx.order, block):
-        cs = np.arange(start, min(start + block, ctx.order), dtype=np.int64)
-        for k in range(1, ctx.N // r):
-            cs = cs[cs <= _conjugate(ctx, mu, cs, r, k)]
-        pending = np.concatenate([pending, cs])
-        last = start + block >= ctx.order
-        while len(pending) >= _CHUNK or (last and len(pending)):
-            yield pending[:_CHUNK]
-            pending = pending[_CHUNK:]
+    def encodings(self, ls, k: int = 0):
+        """The scalars mu*gen^(P^k * l) of the k-th conjugates of the ls."""
+        q1 = self.ctx.order - 1
+        if k:
+            ls = np.where(ls < 0, -1, gf.mulmod(ls, pow(self.P, k, q1), q1))
+        return self.ctx.power_sum_at_logs([(1, self.mu)], ls)
 
 
 def _kernel_dim_chunks(f: QPoly, t: int, ceiling):
-    """Kernel dimensions of c*X^(q^t) - f for the orbit leaders c (see
-    _frobenius_symmetry), ascending, as (leaders, dims, conjugates) per batch
-    of _CHUNK leaders; conjugates lazily yields, for each k > 0, the k-th
-    conjugate of every leader.  The ceiling is checked at the call, and each
-    batch is ranked as it is drawn."""
+    """(orbits, batches): the _ScalarOrbits of f and, lazily, the kernel
+    dimensions of c*X^(q^t) - f at the leaders, (ls, dims) per batch.  The
+    ceiling is checked at the call, and each batch is ranked as it is drawn."""
     ctx = f.ctx
     check_ceiling(ctx.order, ceiling)
     mu, r = _frobenius_symmetry(f)
+    orbits = _ScalarOrbits(ctx, mu, ctx.p ** r, ctx.N // r)
     rank = _sweep_ranker(f, t)
-
-    def ranked(cs):
-        dims = (ctx.N - rank(cs)) // ctx.e
-        return cs, dims, (_conjugate(ctx, mu, cs, r, k) for k in range(1, ctx.N // r))
-
-    return map(ranked, _orbit_leaders(ctx, mu, r))
+    return orbits, ((ls, (ctx.N - rank(orbits.encodings(ls))) // ctx.e) for ls in orbits.leaders())
 
 
 def kernel_dims_per_scalar(f: QPoly, t: int, ceiling=None) -> np.ndarray:
     """F_q-dimension of ker(c*X^(q^t) - f) for every scalar c, indexed by
-    encoding.  Works on the F_p matrices of the maps; dim_Fp = e * dim_Fq.
-    Only orbit leaders are ranked; every other scalar of an orbit copies the
-    dimension of its leader."""
-    chunks = _kernel_dim_chunks(f, t, ceiling)  # checks the ceiling before dims exists
+    encoding (dim_Fp = e * dim_Fq): the tests' oracle for the streamed sweep,
+    which ranks the orbit leaders, and each conjugate copies its leader's."""
+    orbits, batches = _kernel_dim_chunks(f, t, ceiling)  # checks the ceiling before dims exists
     dims = np.empty(f.ctx.order, dtype=np.int64)
-    for cs, ds, conjugates in chunks:
-        dims[cs] = ds
-        for conj in conjugates:
-            dims[conj] = ds
+    for ls, ds in batches:
+        for k in range(orbits.count):
+            dims[orbits.encodings(ls, k)] = ds
     return dims
 
 
@@ -552,7 +545,7 @@ def scatter_test_kernel(f: QPoly, t: int, ceiling=None) -> bool:
     batch holding an offending one."""
     if f.is_zero():
         raise FieldError("scatteredness is undefined for the zero map")
-    return not any((dims > 1).any() for _, dims, _ in _kernel_dim_chunks(f, t, ceiling))
+    return not any((dims > 1).any() for _, dims in _kernel_dim_chunks(f, t, ceiling)[1])
 
 
 def is_scattered(inst: NormalizedInstance, ceiling=None) -> ScatterVerdict:
@@ -719,8 +712,7 @@ def pair_product_image(ctx: FieldCtx, ceiling=None) -> set[FFElt]:
     vs = np.arange(1, ctx.order, dtype=np.int64)
     out: set[int] = set()
     for u in range(1, ctx.order):
-        vals = ctx.power_sum([(ctx.q, u), (1, ctx.neg_i(ctx.frob_i(u, 1)))], vs)
-        out.update(np.unique(vals).tolist())
+        out.update(ctx.power_sum([(ctx.q, u), (1, ctx.neg_i(ctx.frob_i(u, 1)))], vs).tolist())
     return {FFElt(ctx, v) for v in out}
 
 
@@ -729,10 +721,11 @@ def find_many_roots_completion(b: FFElt, ceiling=None) -> FFElt | None:
     dimension exactly 2.  Requires Norm(b) = 1; returns None if no a works,
     which would contradict the classification and is treated as a test
     failure by callers.  The map is a*X^q - f with f = -b*X - X^(q^2), so one
-    kernel sweep over all scalars a answers every candidate."""
+    kernel sweep answers every a: the least conjugate of a leader of dimension 2."""
     ctx = b.ctx
     if gf.norm_rel(b) != ctx.one:
         raise FieldError("precondition: the relative norm of b must be 1")
-    f = QPoly(ctx, [-b, ctx.zero, -ctx.one])
-    hits = np.flatnonzero(kernel_dims_per_scalar(f, 1, ceiling) == 2)
-    return FFElt(ctx, int(hits[0])) if len(hits) else None
+    orbits, batches = _kernel_dim_chunks(QPoly(ctx, [-b, ctx.zero, -ctx.one]), 1, ceiling)
+    least = min((int(orbits.encodings(ls[ds == 2], k).min(initial=ctx.order))
+                 for ls, ds in batches for k in range(orbits.count)), default=ctx.order)
+    return FFElt(ctx, least) if least < ctx.order else None

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from scatterpoly import gf, linpoly as lp, scattered as sc
+from scatterpoly import gf, linpoly as lp, rankcode as rk, scattered as sc
 
 SMALL_FIELDS = lambda: (
     gf.make_field(2, 1, 3),
@@ -205,7 +205,8 @@ def orbit_instances(ctx, rng):
 
 def test_orbit_reduced_sweep_matches_scalar_route(monkeypatch):
     # the sweep ranks orbit leaders only; every scalar must still get the
-    # dimension the scalar route gives it
+    # dimension the scalar route gives it, and the rank-code histogram, which
+    # sums the orbit sizes of the leaders, must count every scalar once
     rng = random.Random(47)
     cases = []
     for p, e, d, *modulus in ORBIT_FIELDS:
@@ -217,12 +218,25 @@ def test_orbit_reduced_sweep_matches_scalar_route(monkeypatch):
             xqt = lp.QPoly.monomial(ctx, t)
             dims = [lp.kernel_dim(xqt.scale(gf.FFElt(ctx, c)).sub(f)) for c in range(ctx.order)]
             cases.append((f, t, dims, sc.scatter_test(f, t).scattered))
-    # 7-scalar batches make the leaders of one candidate chunk straddle batches
-    for chunk in (sc._CHUNK, 7):
+    # 7-scalar batches and 5-log filter blocks make the leaders of one block
+    # straddle batches
+    for chunk, block in ((sc._CHUNK, gf._ORBIT_BLOCK), (7, 5)):
         monkeypatch.setattr(sc, "_CHUNK", chunk)
+        monkeypatch.setattr(gf, "_ORBIT_BLOCK", block)
         for f, t, dims, scattered in cases:
             assert sc.kernel_dims_per_scalar(f, t).tolist() == dims
             assert sc.scatter_test_kernel(f, t) == scattered
+            # a code needs f without the X^(q^t) term; subfield-valued f and
+            # monomials keep their short orbits without it
+            ctx, encs = f.ctx, list(f.encs) + [0] * (t + 1)
+            encs[t] = 0
+            g = lp.QPoly.from_encs(ctx, encs)
+            if g.is_zero():
+                continue
+            want = np.bincount(sc.kernel_dims_per_scalar(g, t))
+            want[0] += 1  # the class (1, 0)
+            hist = rk.min_distance(rk.CodeSpec(ctx, t, g)).kernel_histogram
+            assert hist == {dim: int(cnt) * (ctx.order - 1) for dim, cnt in enumerate(want) if cnt}
 
 
 def test_frobenius_symmetry():
@@ -231,7 +245,8 @@ def test_frobenius_symmetry():
     ctx = gf.make_field(2, 2, 3)
     assert sc._frobenius_symmetry(lp.QPoly.monomial(ctx, 1)) == (1, 1)
     g = ctx.mult_generator_enc
-    orbit = {g} | {int(sc._conjugate(ctx, 1, np.array([g]), 1, k)[0]) for k in range(1, ctx.N)}
+    orbits = sc._kernel_dim_chunks(lp.QPoly.monomial(ctx, 1), 0, None)[0]
+    orbit = {int(orbits.encodings(np.array([1]), k)[0]) for k in range(orbits.count)}  # g = gen^1
     assert orbit == {ctx.pow_i(g, 2 ** k) for k in range(ctx.N)} and len(orbit) == 6
     # b*X + X^(q^2) with b the generator of F_(3^4) inside F_(3^12): mu = b, r = 4
     small, ext = gf.make_field(3, 1, 4), gf.make_field(3, 1, 12)
@@ -242,9 +257,11 @@ def test_frobenius_symmetry():
     for ctx in (gf.make_field(2, 1, 6), gf.make_field(3, 2, 2), gf.make_field(5, 1, 3)):
         f = lp.QPoly.from_encs(ctx, [rng.randrange(1, ctx.order) for _ in range(ctx.d)])
         assert sc._frobenius_symmetry(f)[1] == ctx.N
-    # the leaders of F_(2^6) under x -> x^2 are the 14 binary necklaces of length 6
+    # the scalar orbits of F_(2^6) under x -> x^2: 0, and on the logs mod 63
+    # the 13 binary necklaces of length 6 other than 111111
     f64 = gf.make_field(2, 1, 6)
-    assert sum(len(cs) for cs in sc._orbit_leaders(f64, 1, 1)) == 14
+    orbits = sc._kernel_dim_chunks(lp.QPoly.monomial(f64, 1), 0, None)[0]
+    assert sum(len(ls) for ls in orbits.leaders()) == 14
 
 
 def _divided_ratios(f, t):
@@ -352,25 +369,38 @@ def test_chunked_line_scan_matches_one_shot():
     assert witnesses > 0
 
 
-def test_line_orbits_match_brute_force():
-    # the orbits of k -> P*k mod M on the lines, P = p^r, for every divisor
-    # r of N, against the orbits walked one line at a time; 5-line candidate
-    # blocks (fresh fields, so nothing is cached) split the lines into
-    # several blocks
+@pytest.mark.parametrize("scalar_logs", [False, True], ids=["lines", "scalar-logs"])
+def test_line_orbits_match_brute_force(scalar_logs):
+    # the orbits of k -> P*k mod n, P = p^r, for every divisor r of N,
+    # against the orbits walked one k at a time: on the lines (n = M, from
+    # line_orbits) and on the logs of the sweep's scalars (n = order - 1,
+    # from _ScalarOrbits, with -1 for the scalar 0 first and 7-log batches);
+    # 5-element candidate blocks (fresh fields, so nothing is cached) split
+    # the range into several blocks
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gf, "_ORBIT_BLOCK", 5)
+        mp.setattr(sc, "_CHUNK", 7)
         for p, e, d, *modulus in ORBIT_FIELDS:
             ctx = gf.FieldCtx(p, e, d, modulus=modulus[0] if modulus else None)
-            M = (ctx.order - 1) // (ctx.q - 1)
+            n = (ctx.order - 1) // (1 if scalar_logs else ctx.q - 1)
             for r in [r for r in range(1, ctx.N + 1) if ctx.N % r == 0]:
+                orbits = {}
+                for k in range(n):
+                    orbit = {k * p ** (r * j) % n for j in range(ctx.N // r)}
+                    orbits[min(orbit)] = len(orbit)
+                if scalar_logs:
+                    stream = sc._ScalarOrbits(ctx, ctx.mult_generator_enc, p ** r, ctx.N // r)
+                    batches = [ls.tolist() for ls in stream.leaders()]
+                    assert all(len(ls) == 7 for ls in batches[:-1]) and 0 < len(batches[-1]) <= 7
+                    assert sum(batches, []) == [-1] + sorted(orbits)
+                    # the scalars 0 (l = -1) and mu (l = 0) are fixed
+                    sizes = gf.orbit_sizes(np.maximum(sum(batches, []), 0), p ** r, ctx.N // r, n)
+                    assert sizes.tolist() == [1] + [orbits[k] for k in sorted(orbits)]
+                    continue
                 leaders, sizes = ctx.line_orbits(r)
                 if r == ctx.N:
                     assert (leaders, sizes) == (None, 1)
                     continue
-                orbits = {}
-                for k in range(M):
-                    orbit = {k * p ** (r * j) % M for j in range(ctx.N // r)}
-                    orbits[min(orbit)] = len(orbit)
                 assert leaders.tolist() == sorted(orbits)
                 assert sizes.tolist() == [orbits[k] for k in sorted(orbits)]
                 assert ctx.line_orbits(r)[0] is leaders
@@ -606,6 +636,22 @@ def test_find_many_roots_completion():
     assert lp.kernel_dim(f) == 2
     with pytest.raises(gf.FieldError):
         sc.find_many_roots_completion(f8.zero)  # norm 0 violates the contract
+
+
+def test_completion_is_the_least_a_with_q2_roots():
+    # independent route: X^(q^2) + a*X^q + b*X has q^2 roots exactly when its
+    # kernel has dimension 2; the completion is the least such a, for every
+    # norm-1 b, whatever order the sweep ranks its leaders in
+    for p, n in ((3, 3), (3, 4), (2, 3), (2, 4)):
+        ctx = gf.make_field(p, 1, n)
+        xs = np.arange(ctx.order, dtype=np.int64)
+        a_xq = ctx.mul_vec(xs[:, None], ctx.frob_vec(xs, 1)[None, :])  # row a: a*x^q
+        for b in range(1, ctx.order):
+            if gf.norm_rel(gf.FFElt(ctx, b)) != ctx.one:
+                continue
+            vals = ctx.add_vec(a_xq, ctx.power_sum([(ctx.q ** 2, 1), (1, b)], xs)[None, :])
+            roots = (vals == 0).sum(axis=1)
+            assert sc.find_many_roots_completion(gf.FFElt(ctx, b)).val == int(np.argmax(roots == ctx.q ** 2))
 
 
 def test_completion_matches_determinant_construction():
