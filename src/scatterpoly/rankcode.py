@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import FieldCtx, FieldError, orbit_sizes
+from .gf import FieldCtx, FieldError
 from .linpoly import QPoly
 from .scattered import ScatterVerdict, _kernel_dim_chunks, scatter_test
 
@@ -45,12 +45,11 @@ def min_distance(spec: CodeSpec, ceiling=None) -> MRDReport:
     """Distance sweep over the q^n + 1 scaling classes, never the codewords.
     X^(q^t) + b*f has the kernel of c*X^(q^t) - f with c = -1/b, so the sweep
     over c covers (1, b) for b != 0 and (0, 1) at c = 0; (1, 0) has kernel 0.
-    Each leader l of the sweep counts its orbit size (l = -1, c = 0, is fixed)."""
+    Each leader of the sweep counts the scalars of its class."""
     ctx = spec.ctx
     n, q = ctx.d, ctx.q
     orbits, batches = _kernel_dim_chunks(spec.f, spec.t, ceiling)
-    counts = sum(np.bincount(ds, weights=orbit_sizes(np.maximum(ls, 0), orbits.P, orbits.count, ctx.order - 1),
-                             minlength=n + 1) for ls, ds in batches)
+    counts = sum(np.bincount(ds, weights=orbits.sizes(ls), minlength=n + 1) for ls, ds in batches)
     counts[0] += 1
     hist = {dim: int(cnt) * (ctx.order - 1) for dim, cnt in enumerate(counts) if cnt}
     dist = n - max(hist)

@@ -28,6 +28,20 @@ leaves every scalar and line alone; a monomial has r = 1 and about 1/N as
 many orbits as scalars or lines.  f lifted from F_(q^n) into F_(q^(mn))
 has r dividing n*e, so an extension scan reads about one line in m.
 
+The sweep also uses the scale symmetry of f.  With j0 the least index of f
+and g = gcd(d, j - j0 over the support), f(lambda*x) = lambda^(q^j0) f(x)
+for lambda in F_(q^g)^*, so x -> lambda*x maps the kernel at c onto the
+kernel at c*lambda^(q^j0 - q^t): the substitution x -> lambda*x by which
+U_f and U_f(lambda X) are equivalent, for the lambda that f itself scales.
+The dimension at c = mu*gen^l then depends on l mod m only, with
+m = gcd(q1, (q1/(q^g - 1))*(q^j0 - q^t)), q1 = order - 1, and tau acts
+there as l -> P*l mod m: the sweep ranks one leader per orbit mod m, and
+each stands for its orbit times q1/m scalars.  A monomial X^(q^s) has
+m = q^gcd(|s - t|, d) - 1, the gcd law of its scatteredness (y = x^(q^t)
+turns U into {(y, y^(q^(s-t)))}); bX + X^(q^2) at t = 1 has g = 2; a random
+f has g = 1 and m = q1.  The fiber scan keeps every line orbit on purpose:
+it is the independent route that checks this lemma at every c.
+
 Also here: linear-set weight spectra, extension-field scans, the decision
 predicates for guaranteed non-scatteredness, the pair-product image, and the
 completion search (a re-indexed sweep) behind the degree-q^2 facts.
@@ -52,6 +66,7 @@ REASON_INEQUALITY = "component bound inequality with k <= n/4"
 
 _INLINE_CROSSCHECK_MAX = 1 << 12
 _CHUNK = 1 << 13  # scalars per batched elimination
+_FIRST_CHUNK = 1 << 6  # scalars in the first batch of a sweep; batches double up to _CHUNK
 _SCAN_BLOCK = 1 << 16  # conjugate logs per block of the line scan, N/r per leader
 _WALK_BLOCK = 1 << 6  # encodings in the first block of the witness walk
 _KEY_BITS = 5  # a line orbit size less 1, at most N - 1 <= 25, below the class in a scan key
@@ -196,7 +211,7 @@ def _line_ratios(f: QPoly, t: int, ceiling=None):
     ks = np.arange(M, dtype=np.int64) if scan.leaders is None else scan.leaders
     logs = ctx.log_power_sum_at_logs(scan.terms, ks)
     lines = np.empty(M, dtype=np.int64)
-    ratios = _ScalarOrbits(ctx, scan.mu, scan.P, len(scan.powers))  # mu*gen^(P^j * log R')
+    ratios = _ScalarOrbits(ctx, scan.mu, scan.P, len(scan.powers), ctx.order - 1)  # mu*gen^(P^j * log R')
     for j, power in enumerate(scan.powers.tolist()):
         lines[gf.mulmod(ks, power % M, M)] = ratios.encodings(logs, j)
     return lines
@@ -487,25 +502,50 @@ def _frobenius_symmetry(f: QPoly) -> tuple[int, int]:
     return nonzero[0], r
 
 
+def _scale_modulus(f: QPoly, t: int) -> int:
+    """m: the kernel dimension of c*X^(q^t) - f at c = mu*gen^l depends on
+    l mod m only (see the module docstring; order - 1 for the zero map).
+    The multipliers c -> c*lambda^(q^j0 - q^t), lambda in F_(q^g)^*, are the
+    powers of gen^a, a = (q1/(q^g - 1))*(q^j0 - q^t), so m = gcd(q1, a)."""
+    ctx, sup = f.ctx, f.support()
+    q1 = ctx.order - 1
+    if not sup:
+        return q1
+    g = math.gcd(ctx.d, *(j - sup[0] for j in sup))
+    return math.gcd(q1, q1 // (ctx.q ** g - 1) * (pow(ctx.q, sup[0], q1) - pow(ctx.q, t, q1)))
+
+
 class _ScalarOrbits(NamedTuple):
-    """The orbits {mu*tau^k(c/mu)} of the scalars c (see _frobenius_symmetry)
-    in the log domain: c = mu*gen^l, and tau^k maps l to P^k*l mod
-    (order - 1), P = p^r.  l = -1 stands for c = 0, its own orbit."""
+    """The classes of scalars of one kernel dimension in the log domain:
+    c = mu*gen^l, the dimension depends on l mod m (_scale_modulus), and
+    tau^k maps l to P^k*l (_frobenius_symmetry), so a class is an orbit of
+    l -> P*l mod m with every shift l + i*m.  l = -1 stands for c = 0, its
+    own class."""
     ctx: FieldCtx
     mu: int
     P: int
     count: int  # N/r: P^count = 1 mod (order - 1)
+    m: int  # a divisor of order - 1
 
     def leaders(self):
-        """The least l of each orbit, -1 first, then ascending, in batches of _CHUNK."""
+        """The least l of each class, -1 first, then ascending, in batches
+        that double from _FIRST_CHUNK to _CHUNK, so an early exit ranks few."""
         pending = np.full(1, -1, dtype=np.int32)
-        for ls in gf.orbit_leaders(self.ctx.order - 1, self.P, self.count):
+        size = min(_FIRST_CHUNK, _CHUNK)
+        for ls in gf.orbit_leaders(self.m, self.P, self.count):
             pending = np.concatenate((pending, ls))
-            while len(pending) >= _CHUNK:
-                yield pending[:_CHUNK]
-                pending = pending[_CHUNK:]
+            while len(pending) >= size:
+                yield pending[:size]
+                pending = pending[size:]
+                size = min(2 * size, _CHUNK)
         if len(pending):
             yield pending
+
+    def sizes(self, ls) -> np.ndarray:
+        """The number of scalars in the class of each leader: its orbit size
+        mod m times (order - 1)/m, and 1 for l = -1."""
+        q1 = self.ctx.order - 1
+        return np.where(ls < 0, 1, gf.orbit_sizes(np.maximum(ls, 0), self.P, self.count, self.m) * (q1 // self.m))
 
     def encodings(self, ls, k: int = 0):
         """The scalars mu*gen^(P^k * l) of the k-th conjugates of the ls."""
@@ -514,15 +554,24 @@ class _ScalarOrbits(NamedTuple):
             ls = np.where(ls < 0, -1, gf.mulmod(ls, pow(self.P, k, q1), q1))
         return self.ctx.power_sum_at_logs([(1, self.mu)], ls)
 
+    def members(self, ls):
+        """Per k < count, the encodings of the k-th conjugates of the shifts
+        l + i*m, i < (order - 1)/m: row j holds scalars of the class of
+        ls[j], and together the rows cover it (0 throughout for l = -1)."""
+        ls = ls[:, None]
+        shifts = np.where(ls < 0, -1, ls + self.m * np.arange((self.ctx.order - 1) // self.m))
+        for k in range(self.count):
+            yield self.encodings(shifts, k)
+
 
 def _kernel_dim_chunks(f: QPoly, t: int, ceiling):
-    """(orbits, batches): the _ScalarOrbits of f and, lazily, the kernel
+    """(orbits, batches): the _ScalarOrbits of (f, t) and, lazily, the kernel
     dimensions of c*X^(q^t) - f at the leaders, (ls, dims) per batch.  The
     ceiling is checked at the call, and each batch is ranked as it is drawn."""
     ctx = f.ctx
     check_ceiling(ctx.order, ceiling)
     mu, r = _frobenius_symmetry(f)
-    orbits = _ScalarOrbits(ctx, mu, ctx.p ** r, ctx.N // r)
+    orbits = _ScalarOrbits(ctx, mu, ctx.p ** r, ctx.N // r, _scale_modulus(f, t))
     rank = _sweep_ranker(f, t)
     return orbits, ((ls, (ctx.N - rank(orbits.encodings(ls))) // ctx.e) for ls in orbits.leaders())
 
@@ -530,12 +579,12 @@ def _kernel_dim_chunks(f: QPoly, t: int, ceiling):
 def kernel_dims_per_scalar(f: QPoly, t: int, ceiling=None) -> np.ndarray:
     """F_q-dimension of ker(c*X^(q^t) - f) for every scalar c, indexed by
     encoding (dim_Fp = e * dim_Fq): the tests' oracle for the streamed sweep,
-    which ranks the orbit leaders, and each conjugate copies its leader's."""
+    which ranks the class leaders, and each member copies its leader's."""
     orbits, batches = _kernel_dim_chunks(f, t, ceiling)  # checks the ceiling before dims exists
     dims = np.empty(f.ctx.order, dtype=np.int64)
     for ls, ds in batches:
-        for k in range(orbits.count):
-            dims[orbits.encodings(ls, k)] = ds
+        for members in orbits.members(ls):
+            dims[members] = ds[:, None]
     return dims
 
 
@@ -721,11 +770,11 @@ def find_many_roots_completion(b: FFElt, ceiling=None) -> FFElt | None:
     dimension exactly 2.  Requires Norm(b) = 1; returns None if no a works,
     which would contradict the classification and is treated as a test
     failure by callers.  The map is a*X^q - f with f = -b*X - X^(q^2), so one
-    kernel sweep answers every a: the least conjugate of a leader of dimension 2."""
+    kernel sweep answers every a: the least member of a class of dimension 2."""
     ctx = b.ctx
     if gf.norm_rel(b) != ctx.one:
         raise FieldError("precondition: the relative norm of b must be 1")
     orbits, batches = _kernel_dim_chunks(QPoly(ctx, [-b, ctx.zero, -ctx.one]), 1, ceiling)
-    least = min((int(orbits.encodings(ls[ds == 2], k).min(initial=ctx.order))
-                 for ls, ds in batches for k in range(orbits.count)), default=ctx.order)
+    least = min((int(mem.min(initial=ctx.order)) for ls, ds in batches for mem in orbits.members(ls[ds == 2])),
+                default=ctx.order)
     return FFElt(ctx, least) if least < ctx.order else None

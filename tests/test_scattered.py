@@ -165,8 +165,7 @@ def test_linear_set_weights_match_kernel_dims(monkeypatch):
                     continue
                 t = rng.randrange(ctx.d)
                 rep = sc.linear_set_report_raw(f, t)
-                xqt = lp.QPoly.monomial(ctx, t)
-                dims = [lp.kernel_dim(xqt.scale(gf.FFElt(ctx, c)).sub(f)) for c in range(ctx.order)]
+                dims = scalar_route_dims(f, t)
                 assert sc.kernel_dims_per_scalar(f, t).tolist() == dims
                 spectrum = {}
                 for w in dims:
@@ -174,6 +173,14 @@ def test_linear_set_weights_match_kernel_dims(monkeypatch):
                         spectrum[w] = spectrum.get(w, 0) + 1
                 assert spectrum == rep.weight_spectrum
                 assert rep.size == sum(spectrum.values())
+
+
+def scalar_route_dims(f, t):
+    """The kernel dimension of c*X^(q^t) - f at every encoding c, one
+    kernel_dim per scalar."""
+    ctx = f.ctx
+    xqt = lp.QPoly.monomial(ctx, t)
+    return [lp.kernel_dim(xqt.scale(gf.FFElt(ctx, c)).sub(f)) for c in range(ctx.order)]
 
 
 # p in {2, 3, 5, 7, 13}, e in {1, 2, 3}, two explicit moduli, and F_q itself (d = 1)
@@ -185,9 +192,12 @@ ORBIT_FIELDS = (
 
 
 def orbit_instances(ctx, rng):
-    """Coefficient lists of three kinds, two of each, with an s that the
+    """Coefficient lists of four kinds, two of each, with an s that the
     symmetry r of each must divide: random f (s = N), mu*g with g over a
-    proper subfield F_(p^s) (s = N when there is none), and mu*X^(q^j) (s = 1)."""
+    proper subfield F_(p^s) (s = N when there is none), mu*X^(q^j) (s = 1),
+    and random coefficients on a gapped support {j0, j0 + g, ...} below 2d,
+    g a divisor of d above 1 (s = N), whose scale group F_(q^g)^* is larger
+    than F_q^*."""
     for _ in range(2):
         encs = [rng.randrange(ctx.order) for _ in range(ctx.d)]
         encs[-1] = encs[-1] or 1
@@ -201,6 +211,12 @@ def orbit_instances(ctx, rng):
         yield encs, s
     for _ in range(2):
         yield [0] * rng.randrange(ctx.d) + [rng.randrange(1, ctx.order)], 1
+    for _ in range(2):
+        g = rng.choice([g for g in range(2, ctx.d) if ctx.d % g == 0] or [ctx.d])
+        j0 = rng.randrange(ctx.d)
+        encs = [0] * j0 + [rng.randrange(ctx.order) if i % g == 0 else 0 for i in range(2 * ctx.d - j0)]
+        encs[j0] = encs[j0] or 1
+        yield encs, ctx.N
 
 
 def test_orbit_reduced_sweep_matches_scalar_route(monkeypatch):
@@ -208,16 +224,17 @@ def test_orbit_reduced_sweep_matches_scalar_route(monkeypatch):
     # dimension the scalar route gives it, and the rank-code histogram, which
     # sums the orbit sizes of the leaders, must count every scalar once
     rng = random.Random(47)
-    cases = []
+    cases, scaled = [], 0
     for p, e, d, *modulus in ORBIT_FIELDS:
         ctx = gf.make_field(p, e, d, modulus=modulus[0] if modulus else None)
         for encs, s in orbit_instances(ctx, rng):
             f = lp.QPoly.from_encs(ctx, encs)
             t = rng.randrange(d)
             assert s % sc._frobenius_symmetry(f)[1] == 0
-            xqt = lp.QPoly.monomial(ctx, t)
-            dims = [lp.kernel_dim(xqt.scale(gf.FFElt(ctx, c)).sub(f)) for c in range(ctx.order)]
-            cases.append((f, t, dims, sc.scatter_test(f, t).scattered))
+            # non-monomials whose classes hold several shifts l + i*m
+            scaled += len(f.support()) > 1 and sc._scale_modulus(f, t) < ctx.order - 1
+            cases.append((f, t, scalar_route_dims(f, t), sc.scatter_test(f, t).scattered))
+    assert scaled >= 10
     # 7-scalar batches and 5-log filter blocks make the leaders of one block
     # straddle batches
     for chunk, block in ((sc._CHUNK, gf._ORBIT_BLOCK), (7, 5)):
@@ -257,11 +274,56 @@ def test_frobenius_symmetry():
     for ctx in (gf.make_field(2, 1, 6), gf.make_field(3, 2, 2), gf.make_field(5, 1, 3)):
         f = lp.QPoly.from_encs(ctx, [rng.randrange(1, ctx.order) for _ in range(ctx.d)])
         assert sc._frobenius_symmetry(f)[1] == ctx.N
-    # the scalar orbits of F_(2^6) under x -> x^2: 0, and on the logs mod 63
-    # the 13 binary necklaces of length 6 other than 111111
+    # the scalar orbits of F_(2^6) under x -> x^2 for X + X^q, t = 0, whose
+    # scale group is F_2^* (m = 63): 0, and on the logs mod 63 the 13 binary
+    # necklaces of length 6 other than 111111
     f64 = gf.make_field(2, 1, 6)
+    orbits = sc._kernel_dim_chunks(lp.QPoly.from_encs(f64, [1, 1]), 0, None)[0]
+    assert orbits.m == 63 and sum(len(ls) for ls in orbits.leaders()) == 14
+    # X^q scales by all of F_(2^6)^* (m = 2^1 - 1): the scalars 0 and 1 lead
     orbits = sc._kernel_dim_chunks(lp.QPoly.monomial(f64, 1), 0, None)[0]
-    assert sum(len(ls) for ls in orbits.leaders()) == 14
+    assert [ls.tolist() for ls in orbits.leaders()] == [[-1, 0]]
+
+
+def test_scale_modulus():
+    # the kernel dimension at c = mu*gen^l depends on l mod m only: checked
+    # against the scalar route at every c; m is the gcd law for monomials and
+    # order - 1 when the support has g = 1; the classes of the leaders hold
+    # every scalar once
+    rng = random.Random(59)
+    for p, e, d, *modulus in ORBIT_FIELDS:
+        ctx = gf.make_field(p, e, d, modulus=modulus[0] if modulus else None)
+        q, q1 = ctx.q, ctx.order - 1
+        for s in range(2 * d):
+            for t in range(2 * d):
+                assert sc._scale_modulus(lp.QPoly.monomial(ctx, s), t) == q ** math.gcd(abs(s - t), d) - 1
+        for encs, _ in orbit_instances(ctx, rng):
+            f = lp.QPoly.from_encs(ctx, encs)
+            t = rng.randrange(2 * d)
+            m = sc._scale_modulus(f, t)
+            sup = f.support()
+            if math.gcd(d, *(j - sup[0] for j in sup)) == 1:
+                assert m == q1
+            assert q1 % m == 0
+            dims = scalar_route_dims(f, t)
+            gm = ctx.pow_i(ctx.mult_generator_enc, m)
+            assert all(dims[c] == dims[ctx.mul_i(c, gm)] for c in range(ctx.order))
+            orbits = sc._kernel_dim_chunks(f, t, None)[0]
+            assert orbits.m == m
+            assert sum(int(orbits.sizes(ls).sum()) for ls in orbits.leaders()) == ctx.order
+
+
+def test_sweep_batches_double(monkeypatch):
+    # an early exit ranks the first batch only: batches grow from
+    # _FIRST_CHUNK scalars by doubling, up to _CHUNK, and hold every leader
+    # once, ascending
+    monkeypatch.setattr(sc, "_CHUNK", 4 * sc._FIRST_CHUNK)
+    ctx = gf.make_field(2, 1, 12)
+    orbits = sc._ScalarOrbits(ctx, 1, 2 ** 12, 1, ctx.order - 1)
+    batches = list(orbits.leaders())
+    first = sc._FIRST_CHUNK
+    assert [len(ls) for ls in batches[:4]] == [first, 2 * first, 4 * first, 4 * first]
+    assert np.concatenate(batches).tolist() == list(range(-1, ctx.order - 1))
 
 
 def _divided_ratios(f, t):
@@ -389,12 +451,12 @@ def test_line_orbits_match_brute_force(scalar_logs):
                     orbit = {k * p ** (r * j) % n for j in range(ctx.N // r)}
                     orbits[min(orbit)] = len(orbit)
                 if scalar_logs:
-                    stream = sc._ScalarOrbits(ctx, ctx.mult_generator_enc, p ** r, ctx.N // r)
+                    stream = sc._ScalarOrbits(ctx, ctx.mult_generator_enc, p ** r, ctx.N // r, n)
                     batches = [ls.tolist() for ls in stream.leaders()]
                     assert all(len(ls) == 7 for ls in batches[:-1]) and 0 < len(batches[-1]) <= 7
                     assert sum(batches, []) == [-1] + sorted(orbits)
                     # the scalars 0 (l = -1) and mu (l = 0) are fixed
-                    sizes = gf.orbit_sizes(np.maximum(sum(batches, []), 0), p ** r, ctx.N // r, n)
+                    sizes = stream.sizes(np.array(sum(batches, [])))
                     assert sizes.tolist() == [1] + [orbits[k] for k in sorted(orbits)]
                     continue
                 leaders, sizes = ctx.line_orbits(r)
