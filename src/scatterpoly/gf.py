@@ -24,9 +24,10 @@ log, and `FieldCtx.log_power_sum_at_logs` is the same sum ending in its log.
 operations are power sums (u * v is v * u^1, u + v is 1 * u^1 + v * u^0, 1/u
 is u^(order - 2)).  Coordinates over F_q are remainders modulo the minimal
 polynomial of g over F_q.  `FieldCtx.enc` is the one rule that turns an int or
-an element into an encoding.  `orbit_leaders` filters the orbits of
-k -> P*k mod n from integer arithmetic alone, for `FieldCtx.line_orbits` on
-the F_q^*-lines {gen^(k + jM)} (n = M) and for the sweep's scalar logs.
+an element into an encoding.  `orbit_leaders` filters the orbits of the
+affine map k -> P*k + s mod n from integer arithmetic alone, for
+`FieldCtx.line_orbits` on the F_q^*-lines {gen^(k + jM)} (n = M, s = 0) and
+for the sweep's scalar logs.
 """
 
 from __future__ import annotations
@@ -46,6 +47,11 @@ _BUILD_BLOCK = 1 << 14
 _BUILD_TABLE = 1 << 11
 # orbit_leaders filters _ORBIT_BLOCK candidates at a time
 _ORBIT_BLOCK = 1 << 14
+# the generator search tests _GEN_BLOCK candidates at a time, and one at a
+# time by scalar powers in fields of at most _GEN_SCALAR_MAX elements, where
+# those cost less than the array calls of one block
+_GEN_BLOCK = 1 << 4
+_GEN_SCALAR_MAX = 1 << 12
 
 
 class FieldError(ValueError):
@@ -250,7 +256,10 @@ class FieldCtx:
     # -- log/antilog tables ---------------------------------------------------
 
     def _find_mult_generator(self) -> int:
-        """Least element (canonical order) generating the multiplicative group."""
+        """Least element (canonical order) generating the multiplicative
+        group: the candidates are tested _GEN_BLOCK at a time (_generates),
+        or one at a time by _pow_slow in fields of at most _GEN_SCALAR_MAX
+        elements."""
         qm1 = self.order - 1
         primes = []
         m = qm1
@@ -263,12 +272,59 @@ class FieldCtx:
             f += 1
         if m > 1:
             primes.append(m)
+        exps = np.array([qm1 // ell for ell in primes], dtype=np.int64)
         # for N > 1 the p - 1 nonzero elements of F_p (encodings 1 .. p - 1)
         # have order dividing p - 1 < order - 1, so the search starts at p
-        for cand in range(self.p if self.N > 1 else 1, self.order):
-            if all(self._pow_slow(cand, qm1 // ell) != 1 for ell in primes):
-                return cand
+        start = self.p if self.N > 1 else 1
+        if self.order <= _GEN_SCALAR_MAX:
+            for cand in range(start, self.order):
+                if all(self._pow_slow(cand, qm1 // ell) != 1 for ell in primes):
+                    return cand
+            raise FieldError("no multiplicative generator found")
+        for lo in range(start, self.order, _GEN_BLOCK):
+            cands = np.arange(lo, min(lo + _GEN_BLOCK, self.order), dtype=np.int64)
+            hit = np.flatnonzero(self._generates(cands, exps))
+            if len(hit):
+                return int(cands[hit[0]])
         raise FieldError("no multiplicative generator found")
+
+    def _generates(self, cands, exps) -> np.ndarray:
+        """Which encodings of cands generate the multiplicative group: a
+        does iff a^m != 1 for every m of exps, (order - 1)/ell over the
+        primes ell dividing order - 1.
+
+        The powers are digit rows, of every candidate and exponent at once,
+        by square-and-multiply from the low bit, so the exponents share the
+        squares a^(2^b).  The digits of x*y are those of x (outer) y, mod p,
+        times the digit rows of g^(k + l), k, l < N, mod p.  That product
+        runs in float64, where its sums, below N^2 p^2 <= 2^53 while
+        order <= 2^26, are exact (below N^2 (p - 1)^3 for small p without
+        the first reduction)."""
+        p, N = self.p, self.N
+        # the digit rows of g^k, k < 2N - 1: each a shift up of the last,
+        # with its top digit folded back by the modulus
+        fold = -np.array(self.modulus[:N], dtype=np.int64) % p
+        rows = [np.eye(1, N, dtype=np.int64)[0]]
+        for _ in range(2 * N - 2):
+            rows.append((np.concatenate(([0], rows[-1][:-1])) + rows[-1][-1] * fold) % p)
+        table = np.array(rows, dtype=np.float64)[np.add.outer(np.arange(N), np.arange(N))].reshape(N * N, N)
+
+        def times(x, y):
+            prod = x[..., :, None] * y[..., None, :]
+            prod -= prod // p * p
+            out = (prod.reshape(prod.shape[:-2] + (N * N,)) @ table).astype(np.int64)
+            out -= out // p * p
+            return out
+
+        base = self.digits_vec(cands)
+        acc = np.zeros((len(exps), len(cands), N), dtype=np.int64)
+        acc[..., 0] = 1
+        for bit in range(int(exps.max(initial=0)).bit_length()):
+            if bit:
+                base = times(base, base)
+            take = (exps >> bit & 1).astype(bool)
+            acc[take] = times(acc[take], base)
+        return ((acc[..., 0] != 1) | (acc[..., 1:] != 0).any(axis=-1)).all(axis=0)
 
     def _ensure_tables(self):
         """Build the log layout: `_log` (int32, -1 at 0); `_exp` (int32), the
@@ -804,28 +860,32 @@ def mulmod(a, m, n: int) -> np.ndarray:
     return out
 
 
-def orbit_sizes(ks, P: int, count: int, n: int) -> np.ndarray:
-    """The sizes of the orbits of the ks under k -> P*k mod n, where
-    P^count = 1 mod n, as int64: the least divisor j of count with
-    k*(P^j - 1) = 0 mod n."""
+def orbit_sizes(ks, P: int, count: int, n: int, s: int = 0) -> np.ndarray:
+    """The sizes of the orbits of the ks under the affine map
+    k -> P*k + s mod n, 0 <= s < n, whose count-th power is the identity,
+    as int64: the least divisor j of count with k*(P^j - 1) +
+    s*(1 + P + ... + P^(j - 1)) = 0 mod n."""
     sizes = np.full(np.shape(ks), count, dtype=np.int64)
     for j in range(count - 1, 0, -1):  # the least fixing divisor is written last
         if count % j == 0:
-            sizes[mulmod(ks, (P ** j - 1) % n, n) == 0] = j
+            shift = s * ((P ** j - 1) // (P - 1)) % n
+            sizes[mulmod(ks, (P ** j - 1) % n, n) == (n - shift) % n] = j
     return sizes
 
 
-def orbit_leaders(n: int, P: int, count: int):
-    """The least k of each orbit of k -> P*k mod n, 0 <= k < n, P^count = 1
-    mod n, ascending, lazily: one array per block of _ORBIT_BLOCK candidates,
-    where pass j drops those above their j-th conjugate, in int32 when
-    P*n < 2^31, else int64.  No table is read."""
-    dtype = np.int32 if P * n < 1 << 31 else np.int64
+def orbit_leaders(n: int, P: int, count: int, s: int = 0):
+    """The least k of each orbit of the affine map k -> P*k + s mod n,
+    0 <= k < n, 0 <= s < n, whose count-th power is the identity, ascending,
+    lazily: one array per block of _ORBIT_BLOCK candidates, where pass j
+    drops those above their j-th image, in int32 when P*n + s < 2^31, else
+    int64.  No table is read."""
+    dtype = np.int32 if P * n + s < 1 << 31 else np.int64
     for lo in range(0, n, _ORBIT_BLOCK):
         ks = np.arange(lo, min(lo + _ORBIT_BLOCK, n), dtype=dtype)
         conj = ks.copy()
         for _ in range(count - 1):
             conj *= P
+            conj += s
             conj -= conj // n * n
             keep = ks <= conj
             ks, conj = ks[keep], conj[keep]

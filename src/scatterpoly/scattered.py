@@ -22,11 +22,12 @@ every f_i/mu, the kernel dimension is constant on each orbit
 {mu*tau^k(c/mu)} of scalars, and the ratio over mu commutes with tau.  With
 c = mu*gen^l, tau^k maps l to P^k*l mod (order - 1), P = p^r: the sweep ranks
 0 and then the least l of each orbit, in ascending log(c/mu), and the rest of
-the orbit copies its dimension.  The fiber scan evaluates one line per orbit
-of tau on the lines; the ratio on the others is a power of it.  r = N
-leaves every scalar and line alone; a monomial has r = 1 and about 1/N as
-many orbits as scalars or lines.  f lifted from F_(q^n) into F_(q^(mn))
-has r dividing n*e, so an extension scan reads about one line in m.
+the orbit copies its dimension (the sweep takes a larger group, below).
+The fiber scan evaluates one line per orbit of tau on the lines; the ratio
+on the others is a power of it.  r = N leaves every scalar and line alone;
+a monomial has r = 1 and about 1/N as many orbits as scalars or lines.
+f lifted from F_(q^n) into F_(q^(mn)) has r dividing n*e, so an extension
+scan reads about one line in m.
 
 The sweep also uses the scale symmetry of f.  With j0 the least index of f
 and g = gcd(d, j - j0 over the support), f(lambda*x) = lambda^(q^j0) f(x)
@@ -39,8 +40,29 @@ there as l -> P*l mod m: the sweep ranks one leader per orbit mod m, and
 each stands for its orbit times q1/m scalars.  A monomial X^(q^s) has
 m = q^gcd(|s - t|, d) - 1, the gcd law of its scatteredness (y = x^(q^t)
 turns U into {(y, y^(q^(s-t)))}); bX + X^(q^2) at t = 1 has g = 2; a random
-f has g = 1 and m = q1.  The fiber scan keeps every line orbit on purpose:
-it is the independent route that checks this lemma at every c.
+f has g = 1 and m = q1.
+
+Both lemmas are parts of one, the semilinear stabilizer of f.  Suppose
+f_i^(p^j) = kappa*f_i*lambda^(q^i) for every i of the support.  Then
+w = lambda*x^(p^j) maps ker(c X^(q^t) - f) onto ker(c' X^(q^t) - f),
+c' = c^(p^j) lambda^(-q^t) kappa^(-1): applying x -> x^(p^j) to
+c x^(q^t) = f(x) gives c^(p^j) x^(p^j q^t) = kappa f(w), and
+w^(q^t) = lambda^(q^t) x^(p^j q^t).  The map is F_q-semilinear, so it keeps
+the F_q-dimension.  With f_i = gen^(a_i), lambda = gen^U and i0 the least
+index, the condition is the congruence system
+(p^j - 1)(a_i - a_i0) = (q^i - q^i0)*U mod q1, one unknown U.  j = 0 gives
+the scale group (U with (q^i - q^i0)*U = 0, the lambda in F_(q^g)^*);
+U = 0 gives the Frobenius symmetry (tau^j fixes every f_i/mu).  The j that
+solve it are the multiples of the least, j*, a divisor of N, so on
+c = mu*gen^l the group acts modulo the scale modulus m as one affine map
+l -> P*l + s, P = p^(j*), whose (N/j*)-th power is the identity; the sweep
+ranks one leader per orbit of that map mod m, from l = 0 (c = mu, the
+offender of every monomial that is not scattered).  A binomial f_i X^(q^i) + f_k X^(q^k) has
+j* <= e*gcd(k - i, d), where a random one has r = N: bX + X^(q^2) with b
+from F_(3^4) and N(b) != 1, inside F_(3^12), has j* = 2 where r = 4, the
+map c -> c^9 b^(-6), and 22,151 classes instead of 44,301.  The fiber
+scan keeps every line orbit on purpose: it is the independent route that
+checks this lemma at every c.
 
 Also here: linear-set weight spectra, extension-field scans, the decision
 predicates for guaranteed non-scatteredness, the pair-product image, and the
@@ -58,7 +80,7 @@ import numpy as np
 
 from . import gf
 from .gf import CeilingExceeded, FFElt, FieldCtx, FieldError, check_ceiling
-from .linpoly import NormalizedInstance, QPoly, evaluate_vec, kernel_dim
+from .linpoly import NormalizedInstance, QPoly, evaluate_vec
 
 REASON_KERNEL = "kernel dimension exceeds 1"
 REASON_GCD = "gcd(k, n) > 1 with k <= n/4"
@@ -211,9 +233,9 @@ def _line_ratios(f: QPoly, t: int, ceiling=None):
     ks = np.arange(M, dtype=np.int64) if scan.leaders is None else scan.leaders
     logs = ctx.log_power_sum_at_logs(scan.terms, ks)
     lines = np.empty(M, dtype=np.int64)
-    ratios = _ScalarOrbits(ctx, scan.mu, scan.P, len(scan.powers), ctx.order - 1)  # mu*gen^(P^j * log R')
     for j, power in enumerate(scan.powers.tolist()):
-        lines[gf.mulmod(ks, power % M, M)] = ratios.encodings(logs, j)
+        conj = np.where(logs < 0, -1, gf.mulmod(logs, power, ctx.order - 1))
+        lines[gf.mulmod(ks, power % M, M)] = ctx.power_sum_at_logs([(1, scan.mu)], conj)  # mu*gen^(P^j * log R')
     return lines
 
 
@@ -433,8 +455,11 @@ def _sweep_ranker(f: QPoly, t: int):
     encodings, bit-packed (_rank_f2, _rank_f3).  The rows are linear in the
     base-p digits of c: with c = v + p^k w, k = ceil(N/2), row i is
     (v*h_i - f(b_i)) + (p^k w)*h_i.  Both terms are looked up in tables of
-    p^k and p^(N-k) rows, built here once per sweep, and added digitwise
-    (XOR for p = 2).  Other p write the digits of c*h_i - f(b_i), a power
+    p^k and p^(N-k) entries, built here once per sweep by F_p-linear
+    doubling: with E_j the packed rows g^j*h_i, a table over the digits
+    below j becomes [tab, tab + E_j, tab + 2E_j] over those up to j (the
+    low one starts from -f(b_i)), and the terms are added digitwise (XOR
+    for p = 2).  Other p write the digits of c*h_i - f(b_i), a power
     sum in c, into an (N, N, batch) array for _batch_rank_modp."""
     ctx = f.ctx
     p, n = ctx.p, ctx.N
@@ -454,18 +479,41 @@ def _sweep_ranker(f: QPoly, t: int):
             return _batch_rank_modp(mats, inv)
         return rank_modp
     k = (n + 1) // 2
-    low = ctx.power_sum([(1, h), (0, neg_fb)], np.arange(p ** k, dtype=np.int64))
-    high = ctx.power_sum([(1, h)], np.arange(p ** (n - k), dtype=np.int64) * p ** k)
     word = np.min_scalar_type((1 << n) - 1)
     if p == 2:
-        tables = [tab.astype(word)[None] for tab in (low, high)]  # one plane: the rows
+        def pack(enc):  # one plane: the rows
+            return enc.astype(word)[None]
     else:
         bits = (1 << np.arange(n)).astype(word)
-        tables = []
-        for tab in (low, high):
-            digits = ctx.digits_vec(tab)  # (N, table rows, N)
-            # two planes: bit j of lo (of hi) is set where digit j is 1 (is 2)
-            tables.append(np.stack([(digits == 1) @ bits, (digits == 2) @ bits]))
+
+        def pack(enc):  # two planes: bit j of lo (of hi) is set where digit j is 1 (is 2)
+            digits = ctx.digits_vec(enc)
+            return np.stack([(digits == 1) @ bits, (digits == 2) @ bits])
+    # column j < N: the rows that digit j of c adds once, g^j * h_i over i;
+    # column N: the rows -f(b_i) that the low table starts from
+    rows = pack(np.concatenate((ctx.power_sum([(1, h)], b.T), neg_fb), axis=1))
+    # for p = 3 the planes of E_j and of 2E_j = -E_j (its planes swapped) side
+    # by side: (lo, hi) of shape (N, N + 1, 2, 1)
+    adds = np.stack((rows, rows[::-1]), axis=-1)[..., None] if p == 3 else None
+
+    def doubled(tab, js):
+        """tab extended by each digit j of js in turn: [tab, tab + E_j, tab + 2E_j]."""
+        for j in js:
+            if p == 2:
+                tab = np.concatenate((tab, tab ^ rows[..., j : j + 1]), axis=-1)
+                continue
+            # x + y over F_3 as in _f3_add_to, with x = tab and y = E_j, 2E_j
+            (xl, xh), (yl, yh) = tab[:, :, None], adds[:, :, j]
+            out = np.empty(tab.shape[:2] + (3, tab.shape[2]), dtype=tab.dtype)
+            out[:, :, 0] = tab
+            t = (xl | yh) ^ (xh | yl)
+            np.bitwise_or(xh, yh, out=out[0, :, 1:])
+            out[0, :, 1:] ^= t
+            np.bitwise_or(xl, yl, out=out[1, :, 1:])
+            out[1, :, 1:] ^= t
+            tab = out.reshape(tab.shape[:2] + (-1,))
+        return tab
+    tables = [doubled(rows[..., n:], range(k)), doubled(np.zeros_like(rows[..., n:]), range(k, n))]
 
     def rank_packed(cs):
         w, v = np.divmod(cs, p ** k)
@@ -515,16 +563,68 @@ def _scale_modulus(f: QPoly, t: int) -> int:
     return math.gcd(q1, q1 // (ctx.q ** g - 1) * (pow(ctx.q, sup[0], q1) - pow(ctx.q, t, q1)))
 
 
+def _crt(a: int, n: int, b: int, k: int):
+    """(x, lcm(n, k)) with x = a mod n and x = b mod k, or None if there is
+    no such x."""
+    g = math.gcd(n, k)
+    if (b - a) % g:
+        return None
+    lcm = n // g * k
+    return (a + (b - a) // g * pow(n // g, -1, k // g) * n) % lcm, lcm
+
+
+def _semilinear_stabilizer(f: QPoly, t: int) -> tuple[int, int, int, int]:
+    """(P, s, count, m): with mu the first nonzero coefficient of f, the
+    kernel dimension of c*X^(q^t) - f at c = mu*gen^l depends on l mod m
+    only (m = _scale_modulus), and is the same at mu*gen^(P*l + s); the
+    map's count-th power, count = N/j*, is the identity mod m.
+
+    x -> lambda*x^(p^j) maps the kernel at c onto the kernel at
+    c^(p^j) lambda^(-q^t) kappa^(-1) whenever f_i^(p^j) =
+    kappa*f_i*lambda^(q^i) on the support (see the module docstring).  With
+    a_i = log f_i, i0 the least index and U = log lambda, that is
+    (p^j - 1)(a_i - a_i0) = (q^i - q^i0)*U mod q1 for every i, a congruence
+    in U per i, solved and joined by _crt.  The j that solve it are the
+    multiples of the least, j*, a divisor of N (j = N solves with U = 0);
+    P = p^(j*) and s = (q^i0 - q^t)*U mod q1."""
+    ctx, sup = f.ctx, f.support()
+    q1, m = ctx.order - 1, _scale_modulus(f, t)
+    if not sup:
+        return ctx.p, 0, ctx.N, m
+    logs = ctx.log_vec([f.encs[i] for i in sup]).tolist()
+    q0 = pow(ctx.q, sup[0], q1)
+    # per i: (q^i - q^i0)*U = (p^j - 1)*B mod q1, B = a_i - a_i0, solvable iff
+    # g = gcd(q^i - q^i0, q1) divides the right side, and then
+    # U = (p^j - 1)*B/g * ((q^i - q^i0)/g)^(-1) mod q1/g
+    eqs = []
+    for i, a in zip(sup[1:], logs[1:]):
+        A = pow(ctx.q, i, q1) - q0
+        g = math.gcd(A, q1)
+        eqs.append((g, pow(A // g, -1, q1 // g), a - logs[0]))
+    for j in (j for j in range(1, ctx.N + 1) if ctx.N % j == 0):
+        P, sol = ctx.p ** j, (0, 1)
+        for g, inv, B in eqs:
+            if (P - 1) * B % g:
+                break
+            sol = _crt(*sol, (P - 1) * B // g * inv, q1 // g)
+            if sol is None:
+                break
+        else:
+            return P, (q0 - pow(ctx.q, t, q1)) * sol[0] % q1, ctx.N // j, m
+    raise FieldError("internal error: no Frobenius power stabilizes f")
+
+
 class _ScalarOrbits(NamedTuple):
     """The classes of scalars of one kernel dimension in the log domain:
-    c = mu*gen^l, the dimension depends on l mod m (_scale_modulus), and
-    tau^k maps l to P^k*l (_frobenius_symmetry), so a class is an orbit of
-    l -> P*l mod m with every shift l + i*m.  l = -1 stands for c = 0, its
-    own class."""
+    the dimension at c = mu*gen^l depends on l mod m (_scale_modulus), and
+    l -> P*l + s maps it onto itself (_semilinear_stabilizer), so a class is
+    an orbit of that map mod m with every shift l + i*m.  l = -1 stands for
+    c = 0, its own class."""
     ctx: FieldCtx
     mu: int
     P: int
-    count: int  # N/r: P^count = 1 mod (order - 1)
+    s: int  # the shift on Z/(order - 1)
+    count: int  # N/j*: the map to the count-th power is the identity mod m
     m: int  # a divisor of order - 1
 
     def leaders(self):
@@ -532,7 +632,7 @@ class _ScalarOrbits(NamedTuple):
         that double from _FIRST_CHUNK to _CHUNK, so an early exit ranks few."""
         pending = np.full(1, -1, dtype=np.int32)
         size = min(_FIRST_CHUNK, _CHUNK)
-        for ls in gf.orbit_leaders(self.m, self.P, self.count):
+        for ls in gf.orbit_leaders(self.m, self.P, self.count, self.s % self.m):
             pending = np.concatenate((pending, ls))
             while len(pending) >= size:
                 yield pending[:size]
@@ -545,23 +645,28 @@ class _ScalarOrbits(NamedTuple):
         """The number of scalars in the class of each leader: its orbit size
         mod m times (order - 1)/m, and 1 for l = -1."""
         q1 = self.ctx.order - 1
-        return np.where(ls < 0, 1, gf.orbit_sizes(np.maximum(ls, 0), self.P, self.count, self.m) * (q1 // self.m))
+        sizes = gf.orbit_sizes(np.maximum(ls, 0), self.P, self.count, self.m, self.s % self.m)
+        return np.where(ls < 0, 1, sizes * (q1 // self.m))
 
-    def encodings(self, ls, k: int = 0):
-        """The scalars mu*gen^(P^k * l) of the k-th conjugates of the ls."""
-        q1 = self.ctx.order - 1
-        if k:
-            ls = np.where(ls < 0, -1, gf.mulmod(ls, pow(self.P, k, q1), q1))
+    def encodings(self, ls):
+        """The scalars mu*gen^l of the ls."""
         return self.ctx.power_sum_at_logs([(1, self.mu)], ls)
 
     def members(self, ls):
-        """Per k < count, the encodings of the k-th conjugates of the shifts
-        l + i*m, i < (order - 1)/m: row j holds scalars of the class of
-        ls[j], and together the rows cover it (0 throughout for l = -1)."""
-        ls = ls[:, None]
-        shifts = np.where(ls < 0, -1, ls + self.m * np.arange((self.ctx.order - 1) // self.m))
-        for k in range(self.count):
-            yield self.encodings(shifts, k)
+        """The encodings of the classes of the ls, as a (count, len(ls),
+        (order - 1)/m) array: [k, j] holds the k-th images of the shifts
+        ls[j] + i*m, and together [:, j] cover the class of ls[j] (0
+        throughout for l = -1)."""
+        q1 = self.ctx.order - 1
+        shifts = ls[:, None] + self.m * np.arange(q1 // self.m)
+        # the k-th image of l is P^k*l + s*(P^k - 1)/(P - 1)
+        ks = range(self.count)
+        powers = np.array([pow(self.P, k, q1) for k in ks])
+        offsets = np.array([self.s * ((self.P ** k - 1) // (self.P - 1)) % q1 for k in ks])
+        images = gf.mulmod(shifts, powers[:, None, None], q1)
+        images += offsets[:, None, None]
+        images -= (images >= q1) * q1
+        return self.encodings(np.where(ls[:, None] < 0, -1, images))
 
 
 def _kernel_dim_chunks(f: QPoly, t: int, ceiling):
@@ -570,8 +675,7 @@ def _kernel_dim_chunks(f: QPoly, t: int, ceiling):
     ceiling is checked at the call, and each batch is ranked as it is drawn."""
     ctx = f.ctx
     check_ceiling(ctx.order, ceiling)
-    mu, r = _frobenius_symmetry(f)
-    orbits = _ScalarOrbits(ctx, mu, ctx.p ** r, ctx.N // r, _scale_modulus(f, t))
+    orbits = _ScalarOrbits(ctx, next((v for v in f.encs if v), 1), *_semilinear_stabilizer(f, t))
     rank = _sweep_ranker(f, t)
     return orbits, ((ls, (ctx.N - rank(orbits.encodings(ls))) // ctx.e) for ls in orbits.leaders())
 
@@ -583,8 +687,7 @@ def kernel_dims_per_scalar(f: QPoly, t: int, ceiling=None) -> np.ndarray:
     orbits, batches = _kernel_dim_chunks(f, t, ceiling)  # checks the ceiling before dims exists
     dims = np.empty(f.ctx.order, dtype=np.int64)
     for ls, ds in batches:
-        for members in orbits.members(ls):
-            dims[members] = ds[:, None]
+        dims[orbits.members(ls)] = ds[:, None]
     return dims
 
 
@@ -742,7 +845,12 @@ def not_scattered_verdict(f: QPoly, i: int, k: int, n: int) -> NotScatteredVerdi
         raise FieldError("shape mismatch: support must run from i to k")
     if f.coeff(i) != ctx.one:
         raise FieldError("shape mismatch: lowest coefficient must be 1")
-    ell = kernel_dim(f) + i
+    # ell = i + dim, the kernel holding q^dim roots, counted in blocks
+    roots = 0
+    for lo in range(0, ctx.order, _SCAN_BLOCK):
+        xs = np.arange(lo, min(lo + _SCAN_BLOCK, ctx.order), dtype=np.int64)
+        roots += int(np.count_nonzero(evaluate_vec(f, xs) == 0))
+    ell = i + round(math.log(roots, ctx.q))
     if ell - i > 1:
         return NotScatteredVerdict(True, REASON_KERNEL, ell)
     if math.gcd(k, n) > 1 and 4 * k <= n:
@@ -775,6 +883,5 @@ def find_many_roots_completion(b: FFElt, ceiling=None) -> FFElt | None:
     if gf.norm_rel(b) != ctx.one:
         raise FieldError("precondition: the relative norm of b must be 1")
     orbits, batches = _kernel_dim_chunks(QPoly(ctx, [-b, ctx.zero, -ctx.one]), 1, ceiling)
-    least = min((int(mem.min(initial=ctx.order)) for ls, ds in batches for mem in orbits.members(ls[ds == 2])),
-                default=ctx.order)
+    least = min((int(orbits.members(ls[ds == 2]).min(initial=ctx.order)) for ls, ds in batches), default=ctx.order)
     return FFElt(ctx, least) if least < ctx.order else None

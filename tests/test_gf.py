@@ -450,6 +450,26 @@ def test_generator_search_skips_the_prime_field():
     assert gf.FieldCtx(2, 1, 1)._find_mult_generator() == 1
 
 
+def test_generator_search_matches_the_scalar_route(monkeypatch):
+    # the blocked search against the least candidate whose powers
+    # a^((order - 1)/ell) by _pow_slow all differ from 1, with the default
+    # blocks and with 3-candidate blocks that end between candidates, every
+    # field taking the blocked search
+    def scalar_route(ctx):
+        q1 = ctx.order - 1
+        primes = [ell for ell in range(2, q1 + 1) if q1 % ell == 0 and gf.is_prime(ell)]
+        return next(a for a in range(1, ctx.order) if all(ctx._pow_slow(a, q1 // ell) != 1 for ell in primes))
+    fields = [(2, 1, 1, None), (3, 1, 1, None), (2, 1, 8, None), (3, 1, 8, None), (2, 2, 4, None), (5, 1, 4, None),
+              (3, 2, 3, None), (7, 1, 3, None), (2, 1, 11, (1, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1)),
+              (3, 1, 3, (2, 2, 0, 1)), (521, 1, 1, None), (2039, 1, 2, None)]
+    monkeypatch.setattr(gf, "_GEN_SCALAR_MAX", 0)
+    for block in (gf._GEN_BLOCK, 3):
+        monkeypatch.setattr(gf, "_GEN_BLOCK", block)
+        for p, e, d, modulus in fields:
+            ctx = gf.FieldCtx(p, e, d, modulus)
+            assert ctx._find_mult_generator() == scalar_route(ctx)
+
+
 # (p, e, d, modulus) whose tables are checked against _pow_slow: every prime
 # p <= 13 and p = 2039, e > 1 and explicit moduli.  order - 1 lies below the
 # 512-power bootstrap block (242, 342, 120, 168), at it (511), just above it

@@ -192,12 +192,15 @@ ORBIT_FIELDS = (
 
 
 def orbit_instances(ctx, rng):
-    """Coefficient lists of four kinds, two of each, with an s that the
-    symmetry r of each must divide: random f (s = N), mu*g with g over a
-    proper subfield F_(p^s) (s = N when there is none), mu*X^(q^j) (s = 1),
-    and random coefficients on a gapped support {j0, j0 + g, ...} below 2d,
-    g a divisor of d above 1 (s = N), whose scale group F_(q^g)^* is larger
-    than F_q^*."""
+    """Coefficient lists of five kinds, with an s that the symmetry r of
+    each must divide: random f (s = N), mu*g with g over a proper subfield
+    F_(p^s) (s = N when there is none), mu*X^(q^j) (s = 1), random
+    coefficients on a gapped support {j0, j0 + g, ...} below 2d, g a divisor
+    of d above 1 (s = N), whose scale group F_(q^g)^* is larger than F_q^*,
+    two of each; and four binomials on j0 < j1 below 2d: two with random
+    coefficients (s = N) and two b*X^(q^j0) + X^(q^j1) with b from a proper
+    subfield F_(p^s), whose semilinear stabilizer is often larger than
+    their Frobenius symmetry."""
     for _ in range(2):
         encs = [rng.randrange(ctx.order) for _ in range(ctx.d)]
         encs[-1] = encs[-1] or 1
@@ -217,6 +220,16 @@ def orbit_instances(ctx, rng):
         encs = [0] * j0 + [rng.randrange(ctx.order) if i % g == 0 else 0 for i in range(2 * ctx.d - j0)]
         encs[j0] = encs[j0] or 1
         yield encs, ctx.N
+    for kind in range(4):
+        j0, j1 = sorted(rng.sample(range(2 * ctx.d), 2))
+        encs = [0] * (j1 + 1)
+        if kind < 2:
+            encs[j0], encs[j1] = rng.randrange(1, ctx.order), rng.randrange(1, ctx.order)
+            yield encs, ctx.N
+            continue
+        s = rng.choice([s for s in range(1, ctx.N) if ctx.N % s == 0] or [ctx.N])
+        encs[j0], encs[j1] = rng.choice(ctx.subfield_of_size_elems(ctx.p ** s)[1:]), 1
+        yield encs, s
 
 
 def test_orbit_reduced_sweep_matches_scalar_route(monkeypatch):
@@ -224,17 +237,20 @@ def test_orbit_reduced_sweep_matches_scalar_route(monkeypatch):
     # dimension the scalar route gives it, and the rank-code histogram, which
     # sums the orbit sizes of the leaders, must count every scalar once
     rng = random.Random(47)
-    cases, scaled = [], 0
+    cases, scaled, semilinear = [], 0, 0
     for p, e, d, *modulus in ORBIT_FIELDS:
         ctx = gf.make_field(p, e, d, modulus=modulus[0] if modulus else None)
         for encs, s in orbit_instances(ctx, rng):
             f = lp.QPoly.from_encs(ctx, encs)
             t = rng.randrange(d)
-            assert s % sc._frobenius_symmetry(f)[1] == 0
+            r = sc._frobenius_symmetry(f)[1]
+            assert s % r == 0
             # non-monomials whose classes hold several shifts l + i*m
             scaled += len(f.support()) > 1 and sc._scale_modulus(f, t) < ctx.order - 1
+            # non-monomials whose stabilizer has more Frobenius powers: j* < r
+            semilinear += len(f.support()) > 1 and sc._semilinear_stabilizer(f, t)[2] > ctx.N // r
             cases.append((f, t, scalar_route_dims(f, t), sc.scatter_test(f, t).scattered))
-    assert scaled >= 10
+    assert scaled >= 10 and semilinear >= 10
     # 7-scalar batches and 5-log filter blocks make the leaders of one block
     # straddle batches
     for chunk, block in ((sc._CHUNK, gf._ORBIT_BLOCK), (7, 5)):
@@ -263,7 +279,7 @@ def test_frobenius_symmetry():
     assert sc._frobenius_symmetry(lp.QPoly.monomial(ctx, 1)) == (1, 1)
     g = ctx.mult_generator_enc
     orbits = sc._kernel_dim_chunks(lp.QPoly.monomial(ctx, 1), 0, None)[0]
-    orbit = {int(orbits.encodings(np.array([1]), k)[0]) for k in range(orbits.count)}  # g = gen^1
+    orbit = set(orbits.members(np.array([1]))[:, 0, 0].tolist())  # the images of g = gen^1
     assert orbit == {ctx.pow_i(g, 2 ** k) for k in range(ctx.N)} and len(orbit) == 6
     # b*X + X^(q^2) with b the generator of F_(3^4) inside F_(3^12): mu = b, r = 4
     small, ext = gf.make_field(3, 1, 4), gf.make_field(3, 1, 12)
@@ -313,13 +329,67 @@ def test_scale_modulus():
             assert sum(int(orbits.sizes(ls).sum()) for ls in orbits.leaders()) == ctx.order
 
 
+def test_semilinear_stabilizer():
+    # the solver against a brute force over every divisor j of N and every
+    # lambda in F^*: j* is the least j with some lambda and kappa making
+    # f_i^(p^j) = kappa*f_i*lambda^(q^i) on the support, and with mu the
+    # first coefficient, c = mu*gen^l -> c^(p^j*) lambda^(-q^t) kappa^(-1)
+    # is mu*gen^(P*l + s) up to a multiple of m in the log for every such
+    # lambda; the kernel dimension is the same at c and at its image through
+    # the scalar route at every c, and the classes of the leaders hold every
+    # scalar once
+    rng = random.Random(61)
+    for p, e, d, *modulus in ORBIT_FIELDS:
+        ctx = gf.make_field(p, e, d, modulus=modulus[0] if modulus else None)
+        q1, gen = ctx.order - 1, ctx.mult_generator_enc
+        log = lambda x: int(ctx.log_vec([x])[0])
+        for encs, _ in orbit_instances(ctx, rng):
+            f = lp.QPoly.from_encs(ctx, encs)
+            t = rng.randrange(2 * d)
+            P, s, count, m = sc._semilinear_stabilizer(f, t)
+            assert m == sc._scale_modulus(f, t) and q1 % m == 0 and 0 <= s < q1
+            sup = f.support()
+            mu = f.encs[sup[0]]
+            for j in (j for j in range(1, ctx.N + 1) if ctx.N % j == 0):
+                shifts = set()
+                for lam in range(1, ctx.order):
+                    kappa = ctx.mul_i(ctx.pow_i(mu, p ** j), ctx.inv_i(ctx.mul_i(mu, ctx.pow_i(lam, ctx.q ** sup[0]))))
+                    if all(ctx.pow_i(f.encs[i], p ** j) == ctx.mul_i(kappa, ctx.mul_i(f.encs[i], ctx.pow_i(lam, ctx.q ** i)))
+                           for i in sup):
+                        w = ctx.inv_i(ctx.mul_i(ctx.pow_i(lam, ctx.q ** t), kappa))
+                        shifts.add(((p ** j - 1) * log(mu) + log(w)) % m)
+                if shifts:
+                    break
+            assert (P, count) == (p ** j, ctx.N // j) and shifts == {s % m}
+            dims = scalar_route_dims(f, t)
+            image = [0] + [ctx.mul_i(mu, ctx.pow_i(gen, (P * (log(c) - log(mu)) + s) % q1)) for c in range(1, ctx.order)]
+            assert all(dims[c] == dims[image[c]] for c in range(ctx.order))
+            orbits = sc._kernel_dim_chunks(f, t, None)[0]
+            assert orbits == (ctx, mu, P, s, count, m)
+            assert sum(int(orbits.sizes(ls).sum()) for ls in orbits.leaders()) == ctx.order
+    # the worked case: b*X + X^(q^2), t = 1, b from F_(3^4) with norm not 1
+    # inside F_(3^12): j* = 2 where r = 4, and c -> c^9 b^(-6)
+    small, ext = gf.make_field(3, 1, 4), gf.make_field(3, 1, 12)
+    phi = gf.embed(small, ext)
+    b = next(phi.map_enc(v) for v in range(2, small.order)
+             if gf.norm_rel(gf.FFElt(small, v)).val != 1 and ext.pow_i(phi.map_enc(v), 8) != 1)
+    f = lp.QPoly.from_encs(ext, [b, 0, 1])
+    assert sc._frobenius_symmetry(f)[1] == 4
+    P, s, count, m = sc._semilinear_stabilizer(f, 1)
+    assert (P, count) == (9, 6)
+    # c = b*gen^l goes to c^9 b^(-6) = b*gen^(9l) b^2
+    assert (s - 2 * int(ext.log_vec([b])[0])) % m == 0
+    # 22,151 classes, 0 among them, where the Frobenius symmetry alone leaves 44,301
+    assert sum(len(ls) for ls in sc._ScalarOrbits(ext, b, P, s, count, m).leaders()) == 22151
+
+
 def test_sweep_batches_double(monkeypatch):
     # an early exit ranks the first batch only: batches grow from
     # _FIRST_CHUNK scalars by doubling, up to _CHUNK, and hold every leader
     # once, ascending
     monkeypatch.setattr(sc, "_CHUNK", 4 * sc._FIRST_CHUNK)
     ctx = gf.make_field(2, 1, 12)
-    orbits = sc._ScalarOrbits(ctx, 1, 2 ** 12, 1, ctx.order - 1)
+    orbits = sc._ScalarOrbits(ctx, 1, 2 ** 12, 0, 1, ctx.order - 1)
     batches = list(orbits.leaders())
     first = sc._FIRST_CHUNK
     assert [len(ls) for ls in batches[:4]] == [first, 2 * first, 4 * first, 4 * first]
@@ -431,41 +501,61 @@ def test_chunked_line_scan_matches_one_shot():
     assert witnesses > 0
 
 
-@pytest.mark.parametrize("scalar_logs", [False, True], ids=["lines", "scalar-logs"])
-def test_line_orbits_match_brute_force(scalar_logs):
+def _affine_shifts(n, P, count):
+    """Shifts s with (k -> P*k + s)^count = 1 mod n: the multiples of
+    n/gcd(n, 1 + P + ... + P^(count - 1)), two of them, the first the least
+    above 0 (0 when there is none)."""
+    step = n // math.gcd(n, sum(P ** i for i in range(count)))
+    return [s for s in (step, 3 * step) if s < n] or [0]
+
+
+@pytest.mark.parametrize("kind", ["lines", "scalar-logs", "affine-logs"])
+def test_line_orbits_match_brute_force(kind):
     # the orbits of k -> P*k mod n, P = p^r, for every divisor r of N,
     # against the orbits walked one k at a time: on the lines (n = M, from
     # line_orbits) and on the logs of the sweep's scalars (n = order - 1,
     # from _ScalarOrbits, with -1 for the scalar 0 first and 7-log batches);
-    # 5-element candidate blocks (fresh fields, so nothing is cached) split
-    # the range into several blocks
+    # affine-logs: k -> P*k + s mod n through _ScalarOrbits, for every
+    # divisor n of order - 1 and shifts s that keep the map's order, each
+    # class size the orbit size times (order - 1)/n; 5-element candidate
+    # blocks (fresh fields, so nothing is cached) split the range into
+    # several blocks
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gf, "_ORBIT_BLOCK", 5)
         mp.setattr(sc, "_CHUNK", 7)
         for p, e, d, *modulus in ORBIT_FIELDS:
             ctx = gf.FieldCtx(p, e, d, modulus=modulus[0] if modulus else None)
-            n = (ctx.order - 1) // (1 if scalar_logs else ctx.q - 1)
+            q1 = ctx.order - 1
             for r in [r for r in range(1, ctx.N + 1) if ctx.N % r == 0]:
-                orbits = {}
-                for k in range(n):
-                    orbit = {k * p ** (r * j) % n for j in range(ctx.N // r)}
-                    orbits[min(orbit)] = len(orbit)
-                if scalar_logs:
-                    stream = sc._ScalarOrbits(ctx, ctx.mult_generator_enc, p ** r, ctx.N // r, n)
-                    batches = [ls.tolist() for ls in stream.leaders()]
-                    assert all(len(ls) == 7 for ls in batches[:-1]) and 0 < len(batches[-1]) <= 7
-                    assert sum(batches, []) == [-1] + sorted(orbits)
-                    # the scalars 0 (l = -1) and mu (l = 0) are fixed
-                    sizes = stream.sizes(np.array(sum(batches, [])))
-                    assert sizes.tolist() == [1] + [orbits[k] for k in sorted(orbits)]
-                    continue
-                leaders, sizes = ctx.line_orbits(r)
-                if r == ctx.N:
-                    assert (leaders, sizes) == (None, 1)
-                    continue
-                assert leaders.tolist() == sorted(orbits)
-                assert sizes.tolist() == [orbits[k] for k in sorted(orbits)]
-                assert ctx.line_orbits(r)[0] is leaders
+                P, count = p ** r, ctx.N // r
+                if kind == "affine-logs":
+                    maps = [(n, s) for n in range(1, q1 + 1) if q1 % n == 0 for s in _affine_shifts(n, P, count)]
+                else:
+                    maps = [(q1 // (1 if kind == "scalar-logs" else ctx.q - 1), 0)]
+                for n, s in maps:
+                    orbits = {}
+                    for k in range(n):
+                        orbit = [k]
+                        for _ in range(count - 1):
+                            orbit.append((P * orbit[-1] + s) % n)
+                        assert (P * orbit[-1] + s) % n == k
+                        orbits[min(orbit)] = len(set(orbit))
+                    if kind != "lines":
+                        stream = sc._ScalarOrbits(ctx, 1, P, s, count, n)
+                        batches = [ls.tolist() for ls in stream.leaders()]
+                        assert all(len(ls) == 7 for ls in batches[:-1]) and 0 < len(batches[-1]) <= 7
+                        assert sum(batches, []) == [-1] + sorted(orbits)
+                        # the scalar 0 (l = -1) is fixed
+                        sizes = stream.sizes(np.array(sum(batches, [])))
+                        assert sizes.tolist() == [1] + [orbits[k] * (q1 // n) for k in sorted(orbits)]
+                        continue
+                    leaders, sizes = ctx.line_orbits(r)
+                    if r == ctx.N:
+                        assert (leaders, sizes) == (None, 1)
+                        continue
+                    assert leaders.tolist() == sorted(orbits)
+                    assert sizes.tolist() == [orbits[k] for k in sorted(orbits)]
+                    assert ctx.line_orbits(r)[0] is leaders
 
 
 # fields with a proper subfield, of order at most 256, e > 1 among them
