@@ -17,6 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gf
+from . import scattered as sc
 from .gf import FFElt, FieldCtx, FieldError, check_ceiling
 from .linpoly import QPoly
 
@@ -415,7 +416,12 @@ def count_affine(
 ) -> AffineCount:
     """Exhaustive count of affine zeros over `ext`, with the first witness in
     grid order (x ascending, then y).  predicate "ratio_not_in_Fq" keeps only
-    zeros with x nonzero and y/x outside the designated subfield F_q."""
+    zeros with x nonzero and y/x outside the designated subfield F_q.
+
+    On each line y = u*x the count is a rank when the curve's forms make the
+    line's polynomial F_p-linear in x (see _count_affine_chart), as they do
+    for every quotient curve; otherwise the chart is swept cell by cell, and
+    the ceiling is checked against its (order - 1) * columns cells too."""
     if predicate not in ("all", "ratio_not_in_Fq"):
         raise FieldError(f"unknown predicate {predicate!r}")
     ext = ext or f_poly.ctx
@@ -423,17 +429,70 @@ def count_affine(
     fe = f_poly.embed_into(ext)
     if fe.degree() == 0:
         return AffineCount(0, None)
-    return _count_affine_chart(fe, predicate)
+    return _count_affine_chart(fe, predicate, ceiling)
 
 
 _GRID_BLOCK_CELLS = 1 << 20
 
 
-def _count_affine_chart(fe: BivarPoly, predicate: str) -> AffineCount:
-    """Sweep of the chart (x, u = y/x): the row x = 0 is F(0, y) itself, and
-    for x nonzero F(x, u x) / x^kmin = sum_k x^(k - kmin) G_k(u), one power
-    sum over the x column with the rows G_k(u) as coefficients.  Under the
-    ratio predicate the columns with u in F_q are dropped before the sweep."""
+def _linear_exponents(degs: list[int], p: int) -> list[int] | None:
+    """The exponents k - degs[0] + s, one per degree k, for the shift s = p^a
+    that makes every one a power of p, or None if there is no such s.  With
+    span = degs[-1] - degs[0] > 0, span + s = p^b > s forces
+    s*(p^(b-a) - 1) = span, so a is the p-adic valuation of span: the only
+    candidate.  For a quotient curve the degrees are q^j + q^t - q - 1 over
+    the support j of f, and the exponents are the q^j."""
+    span = degs[-1] - degs[0]
+    s = 1
+    while span % (s * p) == 0:
+        s *= p
+    exps = [k - degs[0] + s for k in degs]
+    for e in exps:
+        while e % p == 0:
+            e //= p
+        if e != 1:
+            return None
+    return exps
+
+
+def _chart_blocks(ext: FieldCtx, degs, gs, us, size: int, cap: int):
+    """(xs, mask) over the nonzero x ascending, in blocks of `size` rows that
+    double up to `cap`: mask[r, c] is F(x_r, us[c] x_r) = 0, from
+    F(x, u x) / x^kmin = sum_k x^(k - kmin) G_k(u) with the rows gs = G_k(us)
+    as power-sum coefficients."""
+    start = 1
+    while start < ext.order:
+        xs = np.arange(start, min(start + size, ext.order), dtype=np.int64)[:, None]
+        yield xs, ext.power_sum([(k - degs[0], g) for k, g in zip(degs, gs)], xs) == 0
+        start, size = start + size, min(2 * size, cap)
+
+
+def _first_point(ext: FieldCtx, xs, mask, us) -> tuple[FFElt, FFElt]:
+    """The first point of a block in grid order: the least x with a zero,
+    then the least y = u x over its zeros."""
+    r = int(np.argmax(mask.any(axis=1)))
+    x = int(xs[r, 0])
+    return FFElt(ext, x), FFElt(ext, int(ext.power_sum([(1, x)], us[mask[r]]).min()))
+
+
+def _count_affine_chart(fe: BivarPoly, predicate: str, ceiling) -> AffineCount:
+    """Count over the chart (x, u = y/x): the row x = 0 is F(0, y) itself,
+    and for x nonzero F(x, u x) = sum_k x^k G_k(u) over the forms of degree
+    k.  Under the ratio predicate the columns with u in F_q are dropped.
+
+    Rank route.  If some s = p^a makes every k - kmin + s a power of p
+    (_linear_exponents), then L_u(x) = x^(s - kmin) F(x, u x) =
+    sum_k G_k(u) x^(k - kmin + s) is a linearized polynomial, F_p-linear in
+    x, and its roots in `ext` form an F_p-subspace (Lidl-Niederreiter,
+    Finite Fields, 3.4).  So column u holds p^(N - rank L_u) - 1 points
+    with x nonzero: the columns are ranked in _CHUNK batches from the
+    encodings of L_u on the power basis p^i, and the first point is found
+    by evaluating the columns with a point in blocks of x that double from
+    _WALK_BLOCK rows, up to the first block that holds one.
+
+    Grid route, for the charts with no such s and those of at most
+    _WALK_BLOCK rows: every cell is evaluated, in blocks of about
+    _GRID_BLOCK_CELLS cells."""
     ext = fe.ctx
     order = ext.order
     us = np.arange(order, dtype=np.int64)
@@ -455,17 +514,30 @@ def _count_affine_chart(fe: BivarPoly, predicate: str) -> AffineCount:
         if witness is None and len(hits):
             witness = (ext.one, FFElt(ext, int(hits.min())))
         return AffineCount(count, witness)
-    chunk = max(1, _GRID_BLOCK_CELLS // max(1, len(us)))
-    for start in range(1, order, chunk):
-        xs = np.arange(start, min(start + chunk, order), dtype=np.int64)[:, None]
-        mask = ext.power_sum([(k - degs[0], g) for k, g in zip(degs, gs)], xs) == 0
-        c = int(mask.sum())
-        if c and witness is None:
-            r = int(np.argmax(mask.any(axis=1)))
-            x = int(xs[r, 0])
-            y = int(ext.power_sum([(1, x)], us[mask[r]]).min())
-            witness = (FFElt(ext, x), FFElt(ext, y))
-        count += c
+    exps = _linear_exponents(degs, ext.p) if order - 1 > sc._WALK_BLOCK else None
+    if exps is None:
+        check_ceiling((order - 1) * len(us), ceiling)
+        chunk = max(1, _GRID_BLOCK_CELLS // max(1, len(us)))
+        for xs, mask in _chart_blocks(ext, degs, gs, us, chunk, chunk):
+            c = int(mask.sum())
+            if c and witness is None:
+                witness = _first_point(ext, xs, mask, us)
+            count += c
+        return AffineCount(count, witness)
+    basis = (ext.p ** np.arange(ext.N, dtype=np.int64))[:, None]
+    dims = np.empty(len(us), dtype=np.int64)
+    for lo in range(0, len(us), sc._CHUNK):
+        enc = ext.power_sum([(e, g[lo : lo + sc._CHUNK]) for e, g in zip(exps, gs)], basis)
+        dims[lo : lo + sc._CHUNK] = ext.N - sc._rank_columns(ext, enc)
+    count += int((ext.p ** dims - 1).sum())
+    live = dims > 0
+    if witness is None and live.any():
+        us, gs = us[live], [g[live] for g in gs]
+        chunk = max(1, _GRID_BLOCK_CELLS // len(us))
+        for xs, mask in _chart_blocks(ext, degs, gs, us, min(sc._WALK_BLOCK, chunk), chunk):
+            if mask.any():
+                witness = _first_point(ext, xs, mask, us)
+                break
     return AffineCount(count, witness)
 
 

@@ -445,53 +445,64 @@ def _rank_f3(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
     return rank
 
 
+def _pack(ctx: FieldCtx, enc: np.ndarray) -> np.ndarray:
+    """The bit planes of encodings, p = 2 or 3, on a new first axis: one
+    plane, the encodings themselves, for p = 2; for p = 3 bit j of the first
+    (second) plane is set where digit j is 1 (is 2)."""
+    word = np.min_scalar_type((1 << ctx.N) - 1)
+    if ctx.p == 2:
+        return enc.astype(word)[None]
+    digits = ctx.digits_vec(enc)
+    bits = (1 << np.arange(ctx.N)).astype(word)
+    return np.stack([(digits == 1) @ bits, (digits == 2) @ bits])
+
+
+def _rank_planes(planes: np.ndarray, n: int) -> np.ndarray:
+    """_rank_f2 or _rank_f3 of packed rows, by their number of planes."""
+    return _rank_f2(planes[0], n) if len(planes) == 1 else _rank_f3(*planes, n)
+
+
+def _rank_columns(ctx: FieldCtx, enc: np.ndarray) -> np.ndarray:
+    """F_p-ranks of a batch of N x N matrices given as an (N, batch) array
+    of encodings: enc[i, c] holds column i of matrix c, its digits the
+    entries.  p = 2 and p = 3 rank the transposes, whose rows are those
+    encodings bit-packed; other p write the digits into an (N, N, batch)
+    array for _batch_rank_modp.  enc is consumed."""
+    p, n = ctx.p, ctx.N
+    if p <= 3:
+        return _rank_planes(_pack(ctx, enc), n)
+    entry = np.min_scalar_type(-p * (p - 1))
+    inv = np.array([0] + [pow(a, -1, p) for a in range(1, p)], dtype=entry)
+    mats = np.empty((n, n, enc.shape[1]), dtype=entry)
+    for row in range(n):
+        np.divmod(enc, p, out=(enc, mats[row]))
+    return _batch_rank_modp(mats, inv)
+
+
 def _sweep_ranker(f: QPoly, t: int):
     """The rank function of the kernel sweep of (f, t): it maps a batch of
     scalars c to the F_p-ranks of the maps c*X^(q^t) - f.  On the power
     basis b_i = g^i (encoded p^i), column i of the matrix of c is the
-    encoding of c*h_i - f(b_i), h_i = b_i^(q^t).
+    encoding of c*h_i - f(b_i), h_i = b_i^(q^t), ranked by _rank_columns.
 
-    p = 2 and p = 3 rank the transposed matrices, whose rows are those
-    encodings, bit-packed (_rank_f2, _rank_f3).  The rows are linear in the
-    base-p digits of c: with c = v + p^k w, k = ceil(N/2), row i is
-    (v*h_i - f(b_i)) + (p^k w)*h_i.  Both terms are looked up in tables of
-    p^k and p^(N-k) entries, built here once per sweep by F_p-linear
-    doubling: with E_j the packed rows g^j*h_i, a table over the digits
-    below j becomes [tab, tab + E_j, tab + 2E_j] over those up to j (the
-    low one starts from -f(b_i)), and the terms are added digitwise (XOR
-    for p = 2).  Other p write the digits of c*h_i - f(b_i), a power
-    sum in c, into an (N, N, batch) array for _batch_rank_modp."""
+    For p = 2 and p = 3 the packed rows are linear in the base-p digits of
+    c: with c = v + p^k w, k = ceil(N/2), row i is (v*h_i - f(b_i)) +
+    (p^k w)*h_i.  Both terms are looked up in tables of p^k and p^(N-k)
+    entries, built here once per sweep by F_p-linear doubling: with E_j the
+    packed rows g^j*h_i, a table over the digits below j becomes
+    [tab, tab + E_j, tab + 2E_j] over those up to j (the low one starts from
+    -f(b_i)), and the terms are added digitwise (XOR for p = 2)."""
     ctx = f.ctx
     p, n = ctx.p, ctx.N
     b = (p ** np.arange(n, dtype=np.int64))[:, None]
     h = ctx.frob_vec(b, t)
     neg_fb = ctx.power_sum([(1, p - 1)], evaluate_vec(f, b))  # -f(b)
     if p > 3:
-        entry = np.min_scalar_type(-p * (p - 1))
-        inv = np.zeros(p, dtype=entry)
-        inv[1:] = ctx.inv_vec(np.arange(1, p, dtype=np.int64))
-
-        def rank_modp(cs):
-            enc = ctx.power_sum([(1, h), (0, neg_fb)], cs)
-            mats = np.empty((n, n, len(cs)), dtype=entry)
-            for row in range(n):
-                np.divmod(enc, p, out=(enc, mats[row]))
-            return _batch_rank_modp(mats, inv)
-        return rank_modp
+        return lambda cs: _rank_columns(ctx, ctx.power_sum([(1, h), (0, neg_fb)], cs))
     k = (n + 1) // 2
-    word = np.min_scalar_type((1 << n) - 1)
-    if p == 2:
-        def pack(enc):  # one plane: the rows
-            return enc.astype(word)[None]
-    else:
-        bits = (1 << np.arange(n)).astype(word)
-
-        def pack(enc):  # two planes: bit j of lo (of hi) is set where digit j is 1 (is 2)
-            digits = ctx.digits_vec(enc)
-            return np.stack([(digits == 1) @ bits, (digits == 2) @ bits])
     # column j < N: the rows that digit j of c adds once, g^j * h_i over i;
     # column N: the rows -f(b_i) that the low table starts from
-    rows = pack(np.concatenate((ctx.power_sum([(1, h)], b.T), neg_fb), axis=1))
+    rows = _pack(ctx, np.concatenate((ctx.power_sum([(1, h)], b.T), neg_fb), axis=1))
     # for p = 3 the planes of E_j and of 2E_j = -E_j (its planes swapped) side
     # by side: (lo, hi) of shape (N, N + 1, 2, 1)
     adds = np.stack((rows, rows[::-1]), axis=-1)[..., None] if p == 3 else None
@@ -521,9 +532,10 @@ def _sweep_ranker(f: QPoly, t: int):
         # reduce along (fancy indexing on the last axis does not)
         x, y = np.take(tables[0], v, axis=-1), np.take(tables[1], w, axis=-1)
         if p == 2:
-            return _rank_f2(x[0] ^ y[0], n)
-        _f3_add_to(*x, *y, np.empty_like(x[0]))
-        return _rank_f3(*x, n)
+            x[0] ^= y[0]
+        else:
+            _f3_add_to(*x, *y, np.empty_like(x[0]))
+        return _rank_planes(x, n)
     return rank_packed
 
 

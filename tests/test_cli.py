@@ -224,6 +224,8 @@ def test_reports_match_golden_bytes(case, capsys):
     ("curve-build", "--field", "2^1^4", "--f", "0;0;1", "--t", "-1"),
     ("curve-points", "--field", "2^1^4", "--f", "0;0;1", "--t", "4"),
     ("curve-points", "--field", "2^1^4", "--f", "0;0;1", "--ext", "40"),
+    # no shift makes Y^2 + X + X^3 linear in x on a line: the grid's 2^40 cells
+    ("curve-points", "--field", "2^1^20", "--curve", "1,0:1;0,2:1;3,0:1", "--predicate", "all"),
     ("curve-branch", "--field", "3^1^1", "--curve", "0,1:1;2,0:2", "--terms", "100000"),
     ("curve-transform", "--field", "2^1^2", "--curve", "0,1:1", "--repeat", "100000000"),
     ("curve-transform", "--field", "2^1^2", "--curve", "0,1:1", "--repeat", "-3"),
@@ -241,7 +243,7 @@ def test_bad_input_is_one_error_line(argv, tmp_path, capsys):
     argv = [a.replace("{missing}", str(tmp_path / "missing")) for a in argv]
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
-    # the extension-field, branch-series and transform ceilings are checked before the work
+    # the extension-field, grid, branch-series and transform ceilings are checked before the work
     assert time.perf_counter() - start < 5
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
