@@ -249,7 +249,7 @@ def _cmd_curve_build(args):
 def _ext_field(ctx: FieldCtx, args) -> FieldCtx:
     if args.ext < 1:
         raise CLIError("--ext must be at least 1")
-    # before make_field, whose modulus search is slow for a large extension
+    # before the extension field is made or read
     gf.check_ceiling(ctx.order ** args.ext, args.ceiling)
     return gf.make_field(ctx.p, ctx.e, ctx.d * args.ext)
 

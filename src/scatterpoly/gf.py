@@ -197,18 +197,16 @@ class FieldCtx:
         self.N = e * d
         self.q = p ** e
         self.order = p ** self.N
-        if modulus is None:
-            modulus = canonical_modulus(p, self.N)
-        else:
+        if modulus is not None:
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != self.N + 1 or modulus[-1] != 1:
                 raise FieldError("modulus must be monic of degree e*d")
             if not is_irreducible(list(modulus), p):
                 raise FieldError("modulus is reducible")
-        self.modulus = tuple(modulus)
+        self._modulus = modulus
         self._pp = [p ** i for i in range(self.N + 1)]
         # encoding of the modulus root g (for N = 1 the power basis is just {1})
-        self.gen_enc = p % self.order if self.N > 1 else (-modulus[0]) % p
+        self.gen_enc = p % self.order if self.N > 1 else (-self.modulus[0]) % p
         self._exp = None
         self._log = None
         self._zech = None
@@ -217,6 +215,15 @@ class FieldCtx:
         self._subfield_minpoly = None
         self._mulgen_enc = None
         self._line_orbits = {}
+
+    @property
+    def modulus(self) -> tuple:
+        """The explicit modulus, or else the canonical one, searched on first
+        use: the search is slow for a large N, and a field past a ceiling is
+        refused before anything reads it."""
+        if self._modulus is None:
+            self._modulus = canonical_modulus(self.p, self.N)
+        return self._modulus
 
     # -- identity ----------------------------------------------------------
 

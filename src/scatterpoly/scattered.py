@@ -51,13 +51,14 @@ w^(q^t) = lambda^(q^t) x^(p^j q^t).  The map is F_q-semilinear, so it keeps
 the F_q-dimension.  With f_i = gen^(a_i), lambda = gen^U and i0 the least
 index, the condition is the congruence system
 (p^j - 1)(a_i - a_i0) = (q^i - q^i0)*U mod q1, one unknown U.  j = 0 gives
-the scale group (U with (q^i - q^i0)*U = 0, the lambda in F_(q^g)^*);
-U = 0 gives the Frobenius symmetry (tau^j fixes every f_i/mu).  The j that
-solve it are the multiples of the least, j*, a divisor of N, so on
-c = mu*gen^l the group acts modulo the scale modulus m as one affine map
-l -> P*l + s, P = p^(j*), whose (N/j*)-th power is the identity; the sweep
-ranks one leader per orbit of that map mod m, from l = 0 (c = mu, the
-offender of every monomial that is not scattered).  A binomial f_i X^(q^i) + f_k X^(q^k) has
+the scale group (U with (q^i - q^i0)*U = 0, the lambda in F_(q^g)^*), so
+the sweep reads m off the same solve; U = 0 gives the Frobenius symmetry
+(tau^j fixes every f_i/mu).  The j that solve it are the multiples of the
+least, j*, a divisor of N, so on c = mu*gen^l the group acts modulo the
+scale modulus m as one affine map l -> P*l + s, P = p^(j*), whose
+(N/j*)-th power is the identity; the sweep ranks one leader per orbit of
+that map mod m, from l = 0 (c = mu, the offender of every monomial that is
+not scattered).  A binomial f_i X^(q^i) + f_k X^(q^k) has
 j* <= e*gcd(k - i, d), where a random one has r = N: bX + X^(q^2) with b
 from F_(3^4) and N(b) != 1, inside F_(3^12), has j* = 2 where r = 4, the
 map c -> c^9 b^(-6), and 22,151 classes instead of 44,301.  The fiber
@@ -221,35 +222,6 @@ def _classes(ctx: FieldCtx, scan: _LineScan):
     if (per_value * values != lines).any():
         raise FieldError("internal error: a class's lines do not spread evenly over its ratios")
     return classes, per_value, values
-
-
-def _line_ratios(f: QPoly, t: int, ceiling=None):
-    """The ratio at gen^k on every line k < M, expanded from the orbit
-    scan's leaders: line P^j*k mod M of a leader k carries
-    mu * gen^(P^j * log R'(gen^k)).  The tests' view of the scan."""
-    ctx = f.ctx
-    scan = _line_scan(f, t, ceiling)
-    M = (ctx.order - 1) // (ctx.q - 1)
-    ks = np.arange(M, dtype=np.int64) if scan.leaders is None else scan.leaders
-    logs = ctx.log_power_sum_at_logs(scan.terms, ks)
-    lines = np.empty(M, dtype=np.int64)
-    for j, power in enumerate(scan.powers.tolist()):
-        conj = np.where(logs < 0, -1, gf.mulmod(logs, power, ctx.order - 1))
-        lines[gf.mulmod(ks, power % M, M)] = ctx.power_sum_at_logs([(1, scan.mu)], conj)  # mu*gen^(P^j * log R')
-    return lines
-
-
-def _ratio_counts(f: QPoly, t: int, ceiling=None):
-    """The per-x view of the line scan: (xs, ratios, counts) with xs every
-    nonzero x ascending, ratios[i] the ratio at xs[i] and counts[c] the
-    number of x with ratio c.  x = gen^k lies on line k mod M, so the line
-    ratios tiled q - 1 times are the ratios at gen^0, gen^1, ..., placed at
-    their encodings."""
-    ctx = f.ctx
-    powers = ctx.power_sum_at_logs([(1, 1)], np.arange(ctx.order - 1, dtype=np.int64))
-    ratios = np.empty(ctx.order - 1, dtype=np.int64)
-    ratios[powers - 1] = np.tile(_line_ratios(f, t, ceiling), ctx.q - 1)
-    return np.arange(1, ctx.order, dtype=np.int64), ratios, np.bincount(ratios, minlength=ctx.order)
 
 
 def scatter_test(f: QPoly, t: int, ceiling=None) -> ScatterVerdict:
@@ -503,9 +475,6 @@ def _sweep_ranker(f: QPoly, t: int):
     # column j < N: the rows that digit j of c adds once, g^j * h_i over i;
     # column N: the rows -f(b_i) that the low table starts from
     rows = _pack(ctx, np.concatenate((ctx.power_sum([(1, h)], b.T), neg_fb), axis=1))
-    # for p = 3 the planes of E_j and of 2E_j = -E_j (its planes swapped) side
-    # by side: (lo, hi) of shape (N, N + 1, 2, 1)
-    adds = np.stack((rows, rows[::-1]), axis=-1)[..., None] if p == 3 else None
 
     def doubled(tab, js):
         """tab extended by each digit j of js in turn: [tab, tab + E_j, tab + 2E_j]."""
@@ -513,15 +482,11 @@ def _sweep_ranker(f: QPoly, t: int):
             if p == 2:
                 tab = np.concatenate((tab, tab ^ rows[..., j : j + 1]), axis=-1)
                 continue
-            # x + y over F_3 as in _f3_add_to, with x = tab and y = E_j, 2E_j
-            (xl, xh), (yl, yh) = tab[:, :, None], adds[:, :, j]
-            out = np.empty(tab.shape[:2] + (3, tab.shape[2]), dtype=tab.dtype)
-            out[:, :, 0] = tab
-            t = (xl | yh) ^ (xh | yl)
-            np.bitwise_or(xh, yh, out=out[0, :, 1:])
-            out[0, :, 1:] ^= t
-            np.bitwise_or(xl, yl, out=out[1, :, 1:])
-            out[1, :, 1:] ^= t
+            out = np.stack((tab, tab, tab), axis=2)
+            e = rows[:, :, None, j : j + 1]
+            # [tab, tab] += [E_j, 2E_j], 2E_j = -E_j being E_j with its planes swapped
+            y = np.broadcast_to(np.concatenate((e, e[::-1]), axis=2), out[:, :, 1:].shape).copy()
+            _f3_add_to(*out[:, :, 1:], *y, np.empty_like(y[0]))
             tab = out.reshape(tab.shape[:2] + (-1,))
         return tab
     tables = [doubled(rows[..., n:], range(k)), doubled(np.zeros_like(rows[..., n:]), range(k, n))]
@@ -562,19 +527,6 @@ def _frobenius_symmetry(f: QPoly) -> tuple[int, int]:
     return nonzero[0], r
 
 
-def _scale_modulus(f: QPoly, t: int) -> int:
-    """m: the kernel dimension of c*X^(q^t) - f at c = mu*gen^l depends on
-    l mod m only (see the module docstring; order - 1 for the zero map).
-    The multipliers c -> c*lambda^(q^j0 - q^t), lambda in F_(q^g)^*, are the
-    powers of gen^a, a = (q1/(q^g - 1))*(q^j0 - q^t), so m = gcd(q1, a)."""
-    ctx, sup = f.ctx, f.support()
-    q1 = ctx.order - 1
-    if not sup:
-        return q1
-    g = math.gcd(ctx.d, *(j - sup[0] for j in sup))
-    return math.gcd(q1, q1 // (ctx.q ** g - 1) * (pow(ctx.q, sup[0], q1) - pow(ctx.q, t, q1)))
-
-
 def _crt(a: int, n: int, b: int, k: int):
     """(x, lcm(n, k)) with x = a mod n and x = b mod k, or None if there is
     no such x."""
@@ -588,23 +540,28 @@ def _crt(a: int, n: int, b: int, k: int):
 def _semilinear_stabilizer(f: QPoly, t: int) -> tuple[int, int, int, int]:
     """(P, s, count, m): with mu the first nonzero coefficient of f, the
     kernel dimension of c*X^(q^t) - f at c = mu*gen^l depends on l mod m
-    only (m = _scale_modulus), and is the same at mu*gen^(P*l + s); the
-    map's count-th power, count = N/j*, is the identity mod m.
+    only, and is the same at mu*gen^(P*l + s); the map's count-th power,
+    count = N/j*, is the identity mod m.
 
     x -> lambda*x^(p^j) maps the kernel at c onto the kernel at
     c^(p^j) lambda^(-q^t) kappa^(-1) whenever f_i^(p^j) =
     kappa*f_i*lambda^(q^i) on the support (see the module docstring).  With
     a_i = log f_i, i0 the least index and U = log lambda, that is
     (p^j - 1)(a_i - a_i0) = (q^i - q^i0)*U mod q1 for every i, a congruence
-    in U per i, solved and joined by _crt.  The j that solve it are the
+    in U per i, solved and joined by _crt.  Its j = 0 part is the scale
+    group: the U with (q^i - q^i0)*U = 0 for every i are the multiples of
+    q1/G, G = gcd(q1, q^i - q^i0 over i) = q^g - 1, each moving l by a
+    multiple of (q1/G)*(q^i0 - q^t), so m = gcd(q1, (q1/G)*(q^i0 - q^t))
+    (order - 1 for the zero map).  The j >= 1 that solve it are the
     multiples of the least, j*, a divisor of N (j = N solves with U = 0);
     P = p^(j*) and s = (q^i0 - q^t)*U mod q1."""
     ctx, sup = f.ctx, f.support()
-    q1, m = ctx.order - 1, _scale_modulus(f, t)
+    q1 = ctx.order - 1
     if not sup:
-        return ctx.p, 0, ctx.N, m
+        return ctx.p, 0, ctx.N, q1
     logs = ctx.log_vec([f.encs[i] for i in sup]).tolist()
     q0 = pow(ctx.q, sup[0], q1)
+    shift = q0 - pow(ctx.q, t, q1)  # q^i0 - q^t: l moves by shift*U
     # per i: (q^i - q^i0)*U = (p^j - 1)*B mod q1, B = a_i - a_i0, solvable iff
     # g = gcd(q^i - q^i0, q1) divides the right side, and then
     # U = (p^j - 1)*B/g * ((q^i - q^i0)/g)^(-1) mod q1/g
@@ -613,6 +570,8 @@ def _semilinear_stabilizer(f: QPoly, t: int) -> tuple[int, int, int, int]:
         A = pow(ctx.q, i, q1) - q0
         g = math.gcd(A, q1)
         eqs.append((g, pow(A // g, -1, q1 // g), a - logs[0]))
+    # j = 0: the gcd of the g with q1 is G = q^g - 1
+    m = math.gcd(q1, q1 // math.gcd(q1, *(g for g, _, _ in eqs)) * shift)
     for j in (j for j in range(1, ctx.N + 1) if ctx.N % j == 0):
         P, sol = ctx.p ** j, (0, 1)
         for g, inv, B in eqs:
@@ -622,14 +581,14 @@ def _semilinear_stabilizer(f: QPoly, t: int) -> tuple[int, int, int, int]:
             if sol is None:
                 break
         else:
-            return P, (q0 - pow(ctx.q, t, q1)) * sol[0] % q1, ctx.N // j, m
+            return P, shift * sol[0] % q1, ctx.N // j, m
     raise FieldError("internal error: no Frobenius power stabilizes f")
 
 
 class _ScalarOrbits(NamedTuple):
     """The classes of scalars of one kernel dimension in the log domain:
-    the dimension at c = mu*gen^l depends on l mod m (_scale_modulus), and
-    l -> P*l + s maps it onto itself (_semilinear_stabilizer), so a class is
+    the dimension at c = mu*gen^l depends on l mod m, and l -> P*l + s
+    maps it onto itself (both from _semilinear_stabilizer), so a class is
     an orbit of that map mod m with every shift l + i*m.  l = -1 stands for
     c = 0, its own class."""
     ctx: FieldCtx

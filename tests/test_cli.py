@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from scatterpoly import cli, scattered as sc, suites
+from scatterpoly import cli, gf, scattered as sc, suites
 
 GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
 
@@ -247,6 +247,28 @@ def test_bad_input_is_one_error_line(argv, tmp_path, capsys):
     assert time.perf_counter() - start < 5
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_ceiling_is_checked_before_the_modulus_search(capsys):
+    # the canonical modulus of F_(2^512) would take seconds to find: the
+    # commands refuse the field at the ceiling, and scan skips every entry,
+    # before anything reads it; a field under the ceiling still gets it
+    def search(p, n):
+        raise AssertionError(f"modulus of degree {n} searched")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gf, "canonical_modulus", search)
+        mp.setattr(gf, "_FIELD_CACHE", {})
+        for command in ("scatter-test", "linear-set", "mrd-check"):
+            code, out, err = run(capsys, command, "--field", "2^1^512", "--f", "0;1")
+            assert code == 1 and out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+        code, out, err = run(capsys, "scan", "--field", "2^1^512", "--f", "0;1", "--t", "0", "--m-max", "2")
+        entries = json.loads(out)["entries"]
+        assert code == 0 and err == "" and [e["m"] for e in entries] == [1, 2]
+        assert all(e["skipped"] and e["scattered"] is None for e in entries)
+    code, out, _ = run(capsys, "field-info", "--field", "2^1^64")
+    assert code == 0 and json.loads(out)["modulus"] == "1,1,0,1,1" + ",0" * 59 + ",1"
 
 
 @pytest.mark.parametrize("argv", [

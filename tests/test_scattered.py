@@ -246,7 +246,7 @@ def test_orbit_reduced_sweep_matches_scalar_route(monkeypatch):
             r = sc._frobenius_symmetry(f)[1]
             assert s % r == 0
             # non-monomials whose classes hold several shifts l + i*m
-            scaled += len(f.support()) > 1 and sc._scale_modulus(f, t) < ctx.order - 1
+            scaled += len(f.support()) > 1 and sc._semilinear_stabilizer(f, t)[3] < ctx.order - 1
             # non-monomials whose stabilizer has more Frobenius powers: j* < r
             semilinear += len(f.support()) > 1 and sc._semilinear_stabilizer(f, t)[2] > ctx.N // r
             cases.append((f, t, scalar_route_dims(f, t), sc.scatter_test(f, t).scattered))
@@ -303,8 +303,9 @@ def test_frobenius_symmetry():
 
 def test_scale_modulus():
     # the kernel dimension at c = mu*gen^l depends on l mod m only: checked
-    # against the scalar route at every c; m is the gcd law for monomials and
-    # order - 1 when the support has g = 1; the classes of the leaders hold
+    # against the scalar route at every c; m is the gcd law for monomials,
+    # gcd(q1, q1/(q^g - 1) * (q^j0 - q^t)) with g = gcd(d, j - j0 over the
+    # support), so order - 1 when g = 1; the classes of the leaders hold
     # every scalar once
     rng = random.Random(59)
     for p, e, d, *modulus in ORBIT_FIELDS:
@@ -312,15 +313,15 @@ def test_scale_modulus():
         q, q1 = ctx.q, ctx.order - 1
         for s in range(2 * d):
             for t in range(2 * d):
-                assert sc._scale_modulus(lp.QPoly.monomial(ctx, s), t) == q ** math.gcd(abs(s - t), d) - 1
+                assert sc._semilinear_stabilizer(lp.QPoly.monomial(ctx, s), t)[3] == q ** math.gcd(abs(s - t), d) - 1
         for encs, _ in orbit_instances(ctx, rng):
             f = lp.QPoly.from_encs(ctx, encs)
             t = rng.randrange(2 * d)
-            m = sc._scale_modulus(f, t)
+            m = sc._semilinear_stabilizer(f, t)[3]
             sup = f.support()
-            if math.gcd(d, *(j - sup[0] for j in sup)) == 1:
-                assert m == q1
-            assert q1 % m == 0
+            g = math.gcd(d, *(j - sup[0] for j in sup))
+            assert m == math.gcd(q1, q1 // (q ** g - 1) * (q ** sup[0] - q ** t))
+            assert g > 1 or m == q1
             dims = scalar_route_dims(f, t)
             gm = ctx.pow_i(ctx.mult_generator_enc, m)
             assert all(dims[c] == dims[ctx.mul_i(c, gm)] for c in range(ctx.order))
@@ -347,7 +348,7 @@ def test_semilinear_stabilizer():
             f = lp.QPoly.from_encs(ctx, encs)
             t = rng.randrange(2 * d)
             P, s, count, m = sc._semilinear_stabilizer(f, t)
-            assert m == sc._scale_modulus(f, t) and q1 % m == 0 and 0 <= s < q1
+            assert q1 % m == 0 and 0 <= s < q1
             sup = f.support()
             mu = f.encs[sup[0]]
             for j in (j for j in range(1, ctx.N + 1) if ctx.N % j == 0):
@@ -422,11 +423,8 @@ def test_ratio_power_sum_matches_division():
             encs[-1] = encs[-1] or 1
             f = lp.QPoly.from_encs(ctx, encs)
             for t in range(2 * d + 1):
-                xs, ratios, counts = sc._ratio_counts(f, t)
-                want_ratios, want_counts = _divided_ratios(f, t)
-                assert xs.tolist() == list(range(1, ctx.order))
-                assert ratios.tolist() == want_ratios.tolist()
-                assert counts.tolist() == want_counts.tolist()
+                ratios = ctx.power_sum(sc._ratio_terms(f, t), np.arange(1, ctx.order, dtype=np.int64))
+                assert ratios.tolist() == _divided_ratios(f, t)[0].tolist()
 
 
 # fields where a line holds many points: q - 1 = 8 and 3, and an explicit
@@ -467,9 +465,8 @@ def test_chunked_line_scan_matches_one_shot():
     # the orbit scan on every field, blocks of 4 conjugates and of 3 candidate
     # lines (fresh fields, so no orbits are cached), and a witness walk that
     # starts at 2 encodings: M = 10, 21 and 31 split into several blocks, the
-    # last one ragged; the lines expanded from the leaders, verdicts,
-    # witnesses and spectra stay those of one evaluation and of the per-x
-    # ratios
+    # last one ragged; verdicts, witnesses and spectra stay those of the
+    # brute-force witness and of the per-x ratios
     rng = random.Random(83)
     witnesses = 0
     with pytest.MonkeyPatch.context() as mp:
@@ -486,8 +483,6 @@ def test_chunked_line_scan_matches_one_shot():
                 if f.is_zero():
                     continue
                 for t in range(ctx.d):
-                    lines = sc._line_ratios(f, t)
-                    assert lines.tolist() == ctx.power_sum_at_logs(sc._ratio_terms(f, t), np.arange(M)).tolist()
                     verdict, rep = sc.scatter_report(f, t)
                     expected = first_brute_witness(f, t)
                     assert verdict == sc.scatter_test(f, t) and verdict.scattered == (expected is None)
@@ -599,7 +594,7 @@ def test_orbit_scan_matches_brute_force(case):
     # lines over each ratio, read from the classes
     f, t, s = case
     ctx, q = f.ctx, f.ctx.q
-    q1, M = ctx.order - 1, (ctx.order - 1) // (ctx.q - 1)
+    q1 = ctx.order - 1
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sc, "_ORBIT_SCAN_MIN", 0)
         mp.setattr(sc, "_SCAN_BLOCK", 8)
@@ -608,10 +603,8 @@ def test_orbit_scan_matches_brute_force(case):
         scan = sc._line_scan(f, t)
         verdict, rep = sc.scatter_report(f, t)
         classes, per_value, values = sc._classes(ctx, scan)
-        lines = sc._line_ratios(f, t)
     assert s % r == 0
     assert r == ctx.N or min(scan.sizes) < ctx.N // r  # line 0 is fixed
-    assert lines.tolist() == ctx.power_sum_at_logs(sc._ratio_terms(f, t), np.arange(M)).tolist()
     expected = first_brute_witness(f, t)
     assert verdict.scattered == (expected is None)
     if expected is not None:
@@ -757,6 +750,32 @@ def test_not_scattered_verdict_inconclusive():
     verdict = sc.not_scattered_verdict(f, 1, 2, 3)
     if verdict.ell - 1 <= 1:
         assert verdict.inconclusive
+
+
+def test_not_scattered_verdict_ell_is_the_kernel_dimension():
+    # ell - i is the kernel dimension of f, counted by its roots: the scalar
+    # elimination is the oracle, on random X^(q^i) + middle + b*X^(q^k) with k
+    # up to n and on X^(q^i) - X^(q^k), whose kernel F_(q^gcd(k - i, n)) has
+    # dimension gcd(k - i, n); the kernel reason fires exactly when it exceeds 1
+    rng = random.Random(89)
+    dims = set()
+    for p, e, d, *modulus in ((2, 2, 4), (3, 2, 3), (5, 1, 4), (7, 1, 3), (2, 1, 5, (1, 0, 1, 0, 0, 1))):
+        ctx = gf.make_field(p, e, d, modulus=modulus[0] if modulus else None)
+        for i in range(1, d):
+            for k in range(i + 1, d + 1):
+                for kind in range(4):
+                    middle = [rng.randrange(ctx.order) for _ in range(k - i - 1)]
+                    b = rng.randrange(1, ctx.order)
+                    if kind == 0:
+                        middle, b = [0] * (k - i - 1), ctx.neg_i(1)
+                    f = lp.QPoly.from_encs(ctx, [0] * i + [1] + middle + [b])
+                    dim = lp.kernel_dim(f)
+                    assert kind or dim == math.gcd(k - i, d)
+                    verdict = sc.not_scattered_verdict(f, i, k, d)
+                    assert verdict.ell - i == dim
+                    assert (verdict.reason == sc.REASON_KERNEL) == (dim > 1)
+                    dims.add(dim)
+    assert {0, 1, 2} <= dims
 
 
 def test_not_scattered_verdict_shape_checks():
