@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import re
@@ -398,9 +399,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser, once per process: parse_args reads the parser and
+    leaves it as it was, and a build costs more than most commands."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.ceiling is not None and args.ceiling <= 0:
             raise CLIError("--ceiling must be positive")
         code, report, table = args.fn(args)

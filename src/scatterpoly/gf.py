@@ -26,8 +26,8 @@ is u^(order - 2)).  Coordinates over F_q are remainders modulo the minimal
 polynomial of g over F_q.  `FieldCtx.enc` is the one rule that turns an int or
 an element into an encoding.  `orbit_leaders` filters the orbits of the
 affine map k -> P*k + s mod n from integer arithmetic alone, for
-`FieldCtx.line_orbits` on the F_q^*-lines {gen^(k + jM)} (n = M, s = 0) and
-for the sweep's scalar logs.
+`FieldCtx.line_orbits` on the classes of F_q^*-lines {gen^(k + jM)} modulo a
+divisor n of M (s = 0) and for the sweep's scalar logs.
 """
 
 from __future__ import annotations
@@ -735,25 +735,24 @@ class FieldCtx:
             self._subfield_elems = self.subfield_of_size_elems(self.q)
         return self._subfield_elems
 
-    def line_orbits(self, r: int):
-        """The orbits of tau(x) = x^(p^r), r a divisor of N, on the
-        F_q^*-lines: line k, 0 <= k < M = (order - 1)/(q - 1), holds the
-        points gen^(k + jM), and tau maps it to line P*k mod M, P = p^r.
+    def line_orbits(self, r: int, n: int):
+        """The orbits of tau(x) = x^(p^r), r a divisor of N, on the classes
+        of F_q^*-lines modulo n, n a divisor of M = (order - 1)/(q - 1): line
+        k, 0 <= k < M, holds the points gen^(k + jM), tau maps it to line
+        P*k mod M, P = p^r, and class k mod n to class P*k mod n.  n = M
+        takes every line apart; the fiber scan takes n = n_s, the classes of
+        its scale translations k -> k + i*n_s.
 
-        Returns (leaders, sizes), the least line of each orbit, ascending, and
-        the orbit sizes as int8, computed once per r from orbit_leaders; the
-        leaders are int32 when P*M < 2^31, else int64.  For r = N every line
-        is its own orbit and the result is (None, 1)."""
-        n_orb = self.N // r
-        if n_orb == 1:
-            return None, 1
-        orbits = self._line_orbits.get(r)
+        Returns (leaders, sizes), the least k < n of each orbit, ascending,
+        and the orbit sizes as int8, computed once per (r, n) from
+        orbit_leaders; the leaders are int32 when P*n < 2^31, else int64."""
+        orbits = self._line_orbits.get((r, n))
         if orbits is not None:
             return orbits
-        M, P = (self.order - 1) // (self.q - 1), self.p ** r
-        leaders = list(orbit_leaders(M, P, n_orb))
-        sizes = [orbit_sizes(ks, P, n_orb, M).astype(np.int8) for ks in leaders]
-        orbits = self._line_orbits[r] = np.concatenate(leaders), np.concatenate(sizes)
+        P, count = self.p ** r, self.N // r
+        leaders = list(orbit_leaders(n, P, count))
+        sizes = [orbit_sizes(ks, P, count, n).astype(np.int8) for ks in leaders]
+        orbits = self._line_orbits[r, n] = np.concatenate(leaders), np.concatenate(sizes)
         return orbits
 
     def subfield_coords(self, v: int):

@@ -23,13 +23,12 @@ every f_i/mu, the kernel dimension is constant on each orbit
 c = mu*gen^l, tau^k maps l to P^k*l mod (order - 1), P = p^r: the sweep ranks
 0 and then the least l of each orbit, in ascending log(c/mu), and the rest of
 the orbit copies its dimension (the sweep takes a larger group, below).
-The fiber scan evaluates one line per orbit of tau on the lines; the ratio
-on the others is a power of it.  r = N leaves every scalar and line alone;
-a monomial has r = 1 and about 1/N as many orbits as scalars or lines.
-f lifted from F_(q^n) into F_(q^(mn)) has r dividing n*e, so an extension
-scan reads about one line in m.
+tau maps line k to line P*k mod M, and the log of the ratio over mu on line
+P*k is P times its log on line k.  r = N leaves every scalar and line alone;
+a monomial has r = 1.  f lifted from F_(q^n) into F_(q^(mn)) has r dividing
+n*e.
 
-The sweep also uses the scale symmetry of f.  With j0 the least index of f
+Both routes also use the scale symmetry of f.  With j0 the least index of f
 and g = gcd(d, j - j0 over the support), f(lambda*x) = lambda^(q^j0) f(x)
 for lambda in F_(q^g)^*, so x -> lambda*x maps the kernel at c onto the
 kernel at c*lambda^(q^j0 - q^t): the substitution x -> lambda*x by which
@@ -40,7 +39,12 @@ there as l -> P*l mod m: the sweep ranks one leader per orbit mod m, and
 each stands for its orbit times q1/m scalars.  A monomial X^(q^s) has
 m = q^gcd(|s - t|, d) - 1, the gcd law of its scatteredness (y = x^(q^t)
 turns U into {(y, y^(q^(s-t)))}); bX + X^(q^2) at t = 1 has g = 2; a random
-f has g = 1 and m = q1.
+f has g = 1 and m = q1.  On the lines, lambda = gen^(i*n_s),
+n_s = q1/(q^g - 1), maps line k to line k + i*n_s and moves the log of the
+ratio by i*n_s*(q^j0 - q^t), a multiple of m: the fiber scan evaluates one
+line per orbit of k -> P*k mod n_s, and its classes of ratios are the
+orbits of their logs mod m.  A monomial has n_s = 1 and reads one line; the
+lifted bX + X^(q^2) over F_(3^12) reads 22,150 lines of 265,720.
 
 Both lemmas are parts of one, the semilinear stabilizer of f.  Suppose
 f_i^(p^j) = kappa*f_i*lambda^(q^i) for every i of the support.  Then
@@ -51,9 +55,10 @@ w^(q^t) = lambda^(q^t) x^(p^j q^t).  The map is F_q-semilinear, so it keeps
 the F_q-dimension.  With f_i = gen^(a_i), lambda = gen^U and i0 the least
 index, the condition is the congruence system
 (p^j - 1)(a_i - a_i0) = (q^i - q^i0)*U mod q1, one unknown U.  j = 0 gives
-the scale group (U with (q^i - q^i0)*U = 0, the lambda in F_(q^g)^*), so
-the sweep reads m off the same solve; U = 0 gives the Frobenius symmetry
-(tau^j fixes every f_i/mu).  The j that solve it are the multiples of the
+the scale group (U with (q^i - q^i0)*U = 0, the lambda in F_(q^g)^*), whose
+m the sweep and the fiber scan read from one gcd over the support,
+_scale_group; U = 0 gives the Frobenius symmetry (tau^j fixes every
+f_i/mu).  The j that solve it are the multiples of the
 least, j*, a divisor of N, so on c = mu*gen^l the group acts modulo the
 scale modulus m as one affine map l -> P*l + s, P = p^(j*), whose
 (N/j*)-th power is the identity; the sweep ranks one leader per orbit of
@@ -61,9 +66,12 @@ that map mod m, from l = 0 (c = mu, the offender of every monomial that is
 not scattered).  A binomial f_i X^(q^i) + f_k X^(q^k) has
 j* <= e*gcd(k - i, d), where a random one has r = N: bX + X^(q^2) with b
 from F_(3^4) and N(b) != 1, inside F_(3^12), has j* = 2 where r = 4, the
-map c -> c^9 b^(-6), and 22,151 classes instead of 44,301.  The fiber
-scan keeps every line orbit on purpose: it is the independent route that
-checks this lemma at every c.
+map c -> c^9 b^(-6), and 22,151 classes instead of 44,301.  The fiber scan
+takes the scale group and tau but no map with j* < r, and it shares the
+scale modulus with the sweep, so neither route checks the lemmas for the
+other: their independent check is test_kernel_dims_are_fiber_logs, which
+evaluates f(x)/x^(q^t) by evaluate-then-divide at every nonzero x and
+compares log_q of each fiber plus 1 with the sweep's dimension at every c.
 
 Also here: linear-set weight spectra, extension-field scans, the decision
 predicates for guaranteed non-scatteredness, the pair-product image, and the
@@ -93,7 +101,6 @@ _FIRST_CHUNK = 1 << 6  # scalars in the first batch of a sweep; batches double u
 _SCAN_BLOCK = 1 << 16  # conjugate logs per block of the line scan, N/r per leader
 _WALK_BLOCK = 1 << 6  # encodings in the first block of the witness walk
 _KEY_BITS = 5  # a line orbit size less 1, at most N - 1 <= 25, below the class in a scan key
-_SIZE_MASK = (1 << _KEY_BITS) - 1
 # the line scan takes the group <tau> only when it saves this many lines:
 # below that the orbit bookkeeping costs more than the lines it saves
 _ORBIT_SCAN_MIN = 1 << 14
@@ -128,109 +135,146 @@ def _ratio_terms(f: QPoly, t: int):
 
 
 class _LineScan(NamedTuple):
-    """The orbit scan of a pair; see _line_scan."""
+    """The class scan of a pair; see _line_scan."""
+    ctx: FieldCtx
     mu: int  # a nonzero coefficient of f, or 1 for the trivial group
     terms: list  # the ratio over mu as power-sum terms
     evaluate: Callable  # (terms, ks) -> the value each class is read from at gen^k
     P: int  # tau(x) = x^P
     powers: np.ndarray  # P^j mod (order - 1), j < N/r
-    leaders: np.ndarray | None  # the orbit leaders among the lines (None: every line)
-    sizes: np.ndarray | int  # their line orbit sizes
-    bits: int  # _KEY_BITS, or 0 for the trivial group, whose line orbits are single lines
-    keys: np.ndarray  # per leader: its class << bits | its line orbit size less 1
+    n_s: int  # the scale translations join line k to the lines k + i*n_s
+    step: int  # n_s*(q^i0 - q^t) mod (order - 1): the log of R' on line k + i*n_s is i*step more
+    m: int  # gcd(order - 1, step): a class is an orbit of log R' mod m
+    leaders: np.ndarray | None  # the orbit leaders among the k < n_s (None: every k)
+    sizes: np.ndarray | int  # their orbit sizes mod n_s
+    bits: int  # _KEY_BITS, or 0 when tau is trivial and every orbit has size 1
+    keys: np.ndarray  # per leader: its class << bits | its orbit size less 1
     ranked: np.ndarray  # the keys ascending
-    spread: bool  # some line orbit is larger than the orbit of its ratio
+
+    @property
+    def trivial(self) -> bool:
+        """Every line is a leader and its own class."""
+        return len(self.powers) == 1 and self.n_s == _lines(self.ctx)
+
+    def lines(self, keys):
+        """The lines in the orbit of the leader of each key: its orbit size
+        mod n_s, from the low bits, times the M/n_s lines over each k."""
+        return np.multiply((keys & ((1 << self.bits) - 1)) + 1, _lines(self.ctx) // self.n_s, dtype=np.int64)
+
+    def ratios(self, classes):
+        """The number of ratios in each class: its orbit mod m times the
+        (order - 1)/m logs over each residue, and 1 for the ratio 0 (class
+        -1); 1 throughout under the trivial group."""
+        if self.trivial:
+            return np.ones(np.shape(classes), dtype=np.int64)
+        orbit = gf.orbit_sizes(np.maximum(classes, 0), self.P, len(self.powers), self.m)
+        return np.where(classes < 0, 1, orbit * ((self.ctx.order - 1) // self.m))
 
 
-def _ratio_orbits(lr, powers, q1: int):
-    """(least, fixed) for each log of lr: the least log of the orbit of its
-    ratio under y -> y^P, the ratio's class, and the number of j < N/r with
-    P^j fixing the ratio, (N/r)/|C|.  The ratio 0 (log -1) is its own class
-    -1 and fixed by every j.  powers holds P^j mod q1; for r = N the group
-    is trivial and no pass is made."""
-    if len(powers) == 1:
-        return lr, 1
-    base = np.maximum(lr, 0)  # the ratio 0 as the ratio 1: fixed by every j
-    conj = gf.mulmod(base, powers[:, None], q1)  # row j: the j-th conjugates
-    least = np.minimum(conj.min(axis=0), lr)
-    return least, (conj == base).sum(axis=0)
+def _lines(ctx: FieldCtx) -> int:
+    """M = (order - 1)/(q - 1), the number of F_q^*-lines."""
+    return (ctx.order - 1) // (ctx.q - 1)
+
+
+def _ratio_classes(lr, powers, m: int):
+    """The class of each log l of lr: the least element of the orbit of
+    l mod m under l -> P*l, powers holding P^j mod (order - 1), j < N/r.
+    The ratio 0 (log -1) is its own class -1.  Under the trivial group a
+    ratio is its own class, and no caller makes this pass."""
+    base = np.maximum(lr, 0)
+    base -= base // m * m
+    least = np.minimum(base, lr, dtype=np.int64)  # the ratio 0 keeps -1
+    for pj in (powers[1:] % m).tolist():  # the j-th conjugates, j >= 1
+        np.minimum(least, gf.mulmod(base, pj, m), out=least)
+    return least
 
 
 def _line_scan(f: QPoly, t: int, ceiling=None) -> _LineScan:
-    """The fiber scan over one line per orbit of <tau>, tau(x) = x^P.
+    """The fiber scan over one line per class of the group generated by
+    tau(x) = x^P and the scale translations x -> lambda*x.
 
     With (mu, r) = _frobenius_symmetry(f) and P = p^r, the ratio R' = R/mu
-    has R'(tau x) = tau(R'(x)), and tau maps line k to line P*k mod M, so the
-    log of R' on line P^j*k is P^j times its log on line k, mod order - 1.
-    R' is evaluated at the orbit leaders only (FieldCtx.line_orbits), in
-    blocks whose N/r conjugate logs fill _SCAN_BLOCK.  Each leader is keyed
-    by its class, the least log of its ratio's orbit C, and by the size of
-    its line orbit O >= |C|.  The T lines of a class spread evenly over its
-    |C| ratios, so each ratio lies on T/|C| lines, and the pair is scattered
-    iff no two leaders share a class and no line orbit is larger than its
-    ratio's (T = |C|).  For r = N the group is trivial: every line is a
-    leader and its own class.  The scan takes the trivial group as well
-    when the orbits would save fewer than _ORBIT_SCAN_MIN lines."""
+    has R'(tau x) = tau(R'(x)), and tau maps line k to line P*k mod M.  With
+    (n_s, shift) = _scale_group(f, t), lambda = gen^(i*n_s) in F_(q^g)^*
+    maps line k to line k + i*n_s and multiplies R' by lambda^shift.  So the
+    log of R' on line P^j*k + i*n_s is P^j times its log on line k plus
+    i*step, step = n_s*shift, mod order - 1, and the group's orbits on the
+    lines are the orbits of k -> P*k mod n_s, each k mod n_s standing for
+    M/n_s lines (FieldCtx.line_orbits, keyed by (r, n_s)).  R' is evaluated
+    at the leaders only, in blocks whose N/r conjugate logs fill
+    _SCAN_BLOCK.  Each leader is keyed by its class, the least element of
+    the orbit of log R' mod m under l -> P*l, m = gcd(order - 1, step), and
+    by its orbit size mod n_s.  A class holds (its orbit size mod m) *
+    (order - 1)/m ratios, one for the ratio 0, and the lines of its leaders,
+    (orbit size mod n_s) * M/n_s each, spread evenly over them; each
+    leader's orbit alone covers them, so the pair is scattered iff every
+    class has one line per ratio.  A monomial has n_s = 1 and reads one
+    line; for r = N and n_s = M the group is trivial: every line is a
+    leader and its own class.  The scan takes the trivial group as well when
+    the classes would save fewer than _ORBIT_SCAN_MIN lines, and then
+    computes no symmetry at all."""
     ctx = f.ctx
     check_ceiling(ctx.order, ceiling)
-    q1 = ctx.order - 1
-    M = q1 // (ctx.q - 1)
-    mu, r = _frobenius_symmetry(f) if M >= _ORBIT_SCAN_MIN else (1, ctx.N)
-    if M - M * r // ctx.N < _ORBIT_SCAN_MIN:  # the orbits leave about M/(N/r) leaders
-        mu, r = 1, ctx.N
+    q1, M = ctx.order - 1, _lines(ctx)
+    mu, r, n_s, shift = 1, ctx.N, M, 0  # the trivial group
+    if M >= _ORBIT_SCAN_MIN:
+        mu, r = _frobenius_symmetry(f)
+        n_s, shift = _scale_group(f, t)
+        if M - n_s * r // ctx.N < _ORBIT_SCAN_MIN:  # the classes leave about n_s/(N/r) leaders
+            mu, r, n_s = 1, ctx.N, M
     n_orb, P = ctx.N // r, ctx.p ** r
+    step = n_s * shift % q1
+    m = math.gcd(q1, step)
     powers = np.array([pow(P, j, q1) for j in range(n_orb)], dtype=np.int64) if n_orb > 1 else _NO_POWERS
     terms = _ratio_terms(f, t)
     if mu != 1:
         imu = ctx.inv_i(mu)
-        terms = [(m, ctx.mul_i(c, imu)) for m, c in terms]
-    # a class is the least log of a ratio's orbit; under the trivial group a
-    # ratio is its own class, and for p = 2 the XOR sum is the ratio itself,
-    # where its log would take one more gather
-    evaluate = ctx.power_sum_at_logs if n_orb == 1 and ctx.p == 2 else ctx.log_power_sum_at_logs
-    leaders, sizes = ctx.line_orbits(r)
-    count = M if leaders is None else len(leaders)
+        terms = [(e, ctx.mul_i(c, imu)) for e, c in terms]
+    trivial = n_orb == 1 and n_s == M
+    # under the trivial group a ratio is its own class, and for p = 2 the
+    # XOR sum is the ratio itself, where its log would take one more gather
+    evaluate = ctx.power_sum_at_logs if trivial and ctx.p == 2 else ctx.log_power_sum_at_logs
+    # a monomial's one k, and every k when tau is trivial, is its own orbit
+    leaders, sizes = ctx.line_orbits(r, n_s) if n_orb > 1 and n_s > 1 else (None, 1)
+    count = n_s if leaders is None else len(leaders)
+    bits = _KEY_BITS if n_orb > 1 else 0
     keys = np.empty(count, dtype=np.int32)
-    spread = False
-    step = max(1, _SCAN_BLOCK // n_orb)
-    for lo in range(0, count, step):
-        hi = min(lo + step, count)
+    block = max(1, _SCAN_BLOCK // n_orb)
+    for lo in range(0, count, block):
+        hi = min(lo + block, count)
         ks = np.arange(lo, hi, dtype=np.int64) if leaders is None else leaders[lo:hi]
         size = sizes if leaders is None else sizes[lo:hi]
-        least, fixed = _ratio_orbits(evaluate(terms, ks), powers, q1)
+        least = evaluate(terms, ks)
+        if not trivial:
+            least = _ratio_classes(least, powers, m)
         if n_orb > 1:
-            spread = spread or bool((fixed * size != n_orb).any())
-            least <<= _KEY_BITS
+            least <<= bits
             least |= size - 1
         keys[lo:hi] = least  # below 2^31
-    bits = _KEY_BITS if n_orb > 1 else 0
-    return _LineScan(mu, terms, evaluate, P, powers, leaders, sizes, bits, keys, np.sort(keys), spread)
+    return _LineScan(ctx, mu, terms, evaluate, P, powers, n_s, step, m, leaders, sizes, bits, keys, np.sort(keys))
 
 
-def _classes(ctx: FieldCtx, scan: _LineScan):
-    """(classes, per_value, values): the distinct classes ascending, and per
-    class the number of lines over each of its ratios, T/|C|, and its
-    number of ratios, |C|."""
+def _classes(scan: _LineScan):
+    """(classes, lines, values): the distinct classes ascending, and per
+    class its number of lines and its number of ratios (see _line_scan).
+    The lines spread evenly over the ratios, so a class with more lines
+    than ratios has two lines or more over each of its ratios."""
     cls = scan.ranked >> scan.bits
     starts = np.flatnonzero(np.concatenate(([True], cls[1:] != cls[:-1])))
-    classes = cls[starts]
-    # a line per leader, and the rest of its orbit from the low bits
-    lines = np.diff(starts, append=len(cls)) + np.add.reduceat(scan.ranked & ((1 << scan.bits) - 1), starts)
-    # the ratio 0 counts as the ratio 1, a single ratio
-    values = gf.orbit_sizes(np.maximum(classes, 0), scan.P, len(scan.powers), ctx.order - 1)
-    per_value = lines // values
-    if (per_value * values != lines).any():
-        raise FieldError("internal error: a class's lines do not spread evenly over its ratios")
-    return classes, per_value, values
+    lines = scan.lines(scan.ranked)
+    if len(starts) < len(cls):  # some class holds several leaders: add up their lines
+        cls = cls[starts]
+        lines = np.diff(np.cumsum(lines)[np.append(starts[1:], len(lines)) - 1], prepend=0)
+    return cls, lines, scan.ratios(cls)
 
 
 def scatter_test(f: QPoly, t: int, ceiling=None) -> ScatterVerdict:
     """Fiber-count scatteredness test for an arbitrary nonzero pair (f, t).
 
-    The ratio is scanned on one line per Frobenius orbit (see _line_scan);
-    the pair is scattered iff no two lines share a ratio.  The witness,
-    present iff not scattered, is the first pair (x, y) in canonical order
-    with equal ratios and y/x outside F_q.
+    The ratio is scanned on one line per class of the symmetries of f (see
+    _line_scan); the pair is scattered iff no two lines share a ratio.  The
+    witness, present iff not scattered, is the first pair (x, y) in
+    canonical order with equal ratios and y/x outside F_q.
     """
     if f.is_zero():
         raise FieldError("scatteredness is undefined for the zero map")
@@ -243,50 +287,52 @@ def scatter_report(f: QPoly, t: int, ceiling=None) -> tuple[ScatterVerdict, Line
     if f.is_zero():
         raise FieldError("scatteredness is undefined for the zero map")
     scan = _line_scan(f, t, ceiling)
-    return _fiber_verdict(f, scan), _weight_spectrum(f.ctx, scan)
+    return _fiber_verdict(f, scan), _weight_spectrum(scan)
 
 
 def _fiber_verdict(f: QPoly, scan: _LineScan) -> ScatterVerdict:
-    """The verdict from the orbit scan, with the first witness in canonical
+    """The verdict from the class scan, with the first witness in canonical
     order.  x is the least encoding whose ratio lies on two lines or more:
     encodings are walked in blocks that double from _WALK_BLOCK, and the
     walk stops at the first block holding one.  Its mates are the points of
-    the lines over its ratio, the conjugates of the leaders of its class
-    whose log is that of x, and y is the least of them off the line of x."""
-    # T = |C| for every class: no line orbit is larger than its ratio's, so
-    # the leaders of one class share one key, and no two leaders share a key
-    if not scan.spread and (scan.ranked[1:] != scan.ranked[:-1]).all():
+    the lines over its ratio, and y is the least of them off the line of x.
+    Those lines are found per leader k of the class of x and per j below
+    its orbit size, never by listing the class: the lines P^j*k + i*n_s
+    carry the log P^j*log R'(k) + i*step, which is the log of R'(x) for the
+    i that solve one linear congruence mod order - 1."""
+    if scan.trivial:
+        # the pair is scattered iff no two lines share a ratio
+        scattered = (scan.ranked[1:] != scan.ranked[:-1]).all()
+    else:
+        _, lines, values = _classes(scan)
+        scattered = (lines == values).all()
+    if scattered:
         return ScatterVerdict(True, None)
-    ctx = f.ctx
-    q1 = ctx.order - 1
-    M = q1 // (ctx.q - 1)
+    ctx, M = f.ctx, _lines(f.ctx)
     start, size = 1, _WALK_BLOCK
     while True:
         xs = np.arange(start, min(start + size, ctx.order), dtype=np.int64)
         logs = scan.evaluate(scan.terms, ctx.log_vec(xs))
-        least, fixed = _ratio_orbits(logs, scan.powers, q1)
+        least = logs if scan.trivial else _ratio_classes(logs, scan.powers, scan.m)
         # the ratio of x lies on two lines or more iff its class holds two
-        # leaders or more, or one whose line orbit is larger than the ratio's
+        # leaders or more, or one with more lines than the class has ratios
         first = (least << scan.bits).astype(np.int32)  # the keys' dtype: no cast of ranked
         lo = np.searchsorted(scan.ranked, first)
         fat = np.searchsorted(scan.ranked, first + (1 << scan.bits)) - lo > 1
-        if len(scan.powers) > 1:
-            fat |= ((scan.ranked[lo] & _SIZE_MASK) + 1) * fixed != len(scan.powers)
+        if not scan.trivial:
+            fat |= scan.lines(scan.ranked[lo]) != scan.ratios(least)
         if fat.any():
             break
         start, size = start + size, 2 * size
     idx = int(np.argmax(fat))
     x_enc, target = int(xs[idx]), int(logs[idx])
     hit = np.flatnonzero(scan.keys >> scan.bits == least[idx])
-    on = hit if scan.leaders is None else scan.leaders[hit]
-    if len(scan.powers) > 1:
-        # the conjugate lines of each leader, j below its orbit size, whose
-        # log is that of x (every conjugate of a zero leader is zero)
-        match = np.arange(len(scan.powers)) < scan.sizes[hit][:, None]
-        if target >= 0:
-            logs = scan.evaluate(scan.terms, on)
-            match &= gf.mulmod(logs[:, None], scan.powers, q1) == target
-        on = gf.mulmod(on[:, None], scan.powers % M, M)[match]  # M divides q1
+    if scan.leaders is None:  # every k < n_s is its own orbit
+        on, sizes = hit, np.ones(len(hit), dtype=np.int8)
+    else:
+        on, sizes = scan.leaders[hit], scan.sizes[hit]
+    if not scan.trivial:
+        on = _lines_at_log(scan, on, sizes, target)
     # the points gen^(k + jM) of the lines over the ratio of x
     ks = on[:, None] + M * np.arange(ctx.q - 1)
     mates = np.sort(ctx.power_sum_at_logs([(1, 1)], ks.ravel()))
@@ -295,6 +341,33 @@ def _fiber_verdict(f: QPoly, scan: _LineScan) -> ScatterVerdict:
         if m != x_enc and not ctx.in_subfield_i(ctx.mul_i(m, ix)):
             return ScatterVerdict(False, (FFElt(ctx, x_enc), FFElt(ctx, m)))
     raise FieldError("internal error: fat fiber without an off-line mate")
+
+
+def _lines_at_log(scan: _LineScan, ks, sizes, target: int) -> np.ndarray:
+    """The lines P^j*k + i*n_s mod M, k of ks, j below the orbit size of k
+    in sizes and 0 <= i < M/n_s, on which log R' is target (-1: R' = 0).
+
+    With l = log R'(gen^k) that log is P^j*l + i*step mod order - 1, so i
+    solves i*step = target - P^j*l mod order - 1: solvable iff m divides
+    the right side, and then i is one residue mod (order - 1)/m, a divisor
+    of M/n_s.  Every line of a leader with R' = 0 has R' = 0."""
+    ctx = scan.ctx
+    q1, M = ctx.order - 1, _lines(ctx)
+    per_k = M // scan.n_s
+    lines = gf.mulmod(ks[:, None], scan.powers % M, M)  # [k, j]: the line P^j*k
+    use = np.arange(len(scan.powers)) < sizes[:, None]
+    if target < 0:
+        i = np.arange(per_k)
+    else:
+        rhs = target - gf.mulmod(scan.evaluate(scan.terms, ks)[:, None], scan.powers, q1)
+        rhs %= q1
+        use &= rhs % scan.m == 0
+        period = q1 // scan.m
+        i0 = rhs[use] // scan.m * pow(scan.step // scan.m, -1, period) % period
+        i = i0[:, None] + period * np.arange(per_k // period)
+    lines = lines[use].reshape(-1, 1) + scan.n_s * i
+    lines %= M
+    return lines.ravel()
 
 
 def _batch_rank_modp(a: np.ndarray, inv: np.ndarray) -> np.ndarray:
@@ -537,6 +610,21 @@ def _crt(a: int, n: int, b: int, k: int):
     return (a + (b - a) // g * pow(n // g, -1, k // g) * n) % lcm, lcm
 
 
+def _scale_group(f: QPoly, t: int) -> tuple[int, int]:
+    """(n_s, shift) for a nonzero f: with i0 the least index of f and
+    g = gcd(d, i - i0 over the support), f(lambda*x) = lambda^(q^i0) f(x)
+    for every lambda in F_(q^g)^*, the powers of gen^(n_s),
+    n_s = (order - 1)/(q^g - 1), so the ratio f(x)/x^(q^t) at lambda*x is
+    lambda^shift times the ratio at x, shift = q^i0 - q^t mod (order - 1).
+    q^g - 1 is one gcd over the support: that of order - 1 and the
+    q^i - q^i0.  A monomial has g = d and n_s = 1."""
+    ctx, sup = f.ctx, f.support()
+    q1 = ctx.order - 1
+    q0 = pow(ctx.q, sup[0], q1)
+    n_s = q1 // math.gcd(q1, *(pow(ctx.q, i, q1) - q0 for i in sup[1:]))
+    return n_s, (q0 - pow(ctx.q, t, q1)) % q1
+
+
 def _semilinear_stabilizer(f: QPoly, t: int) -> tuple[int, int, int, int]:
     """(P, s, count, m): with mu the first nonzero coefficient of f, the
     kernel dimension of c*X^(q^t) - f at c = mu*gen^l depends on l mod m
@@ -549,19 +637,19 @@ def _semilinear_stabilizer(f: QPoly, t: int) -> tuple[int, int, int, int]:
     a_i = log f_i, i0 the least index and U = log lambda, that is
     (p^j - 1)(a_i - a_i0) = (q^i - q^i0)*U mod q1 for every i, a congruence
     in U per i, solved and joined by _crt.  Its j = 0 part is the scale
-    group: the U with (q^i - q^i0)*U = 0 for every i are the multiples of
-    q1/G, G = gcd(q1, q^i - q^i0 over i) = q^g - 1, each moving l by a
-    multiple of (q1/G)*(q^i0 - q^t), so m = gcd(q1, (q1/G)*(q^i0 - q^t))
-    (order - 1 for the zero map).  The j >= 1 that solve it are the
-    multiples of the least, j*, a divisor of N (j = N solves with U = 0);
-    P = p^(j*) and s = (q^i0 - q^t)*U mod q1."""
+    group of _scale_group: the U with (q^i - q^i0)*U = 0 for every i are
+    the multiples of n_s, each moving l by a multiple of n_s*shift, so
+    m = gcd(q1, n_s*shift) (order - 1 for the zero map).  The j >= 1 that
+    solve it are the multiples of the least, j*, a divisor of N (j = N
+    solves with U = 0); P = p^(j*) and s = shift*U mod q1."""
     ctx, sup = f.ctx, f.support()
     q1 = ctx.order - 1
     if not sup:
         return ctx.p, 0, ctx.N, q1
     logs = ctx.log_vec([f.encs[i] for i in sup]).tolist()
+    n_s, shift = _scale_group(f, t)  # l moves by shift*U
+    m = math.gcd(q1, n_s * shift)
     q0 = pow(ctx.q, sup[0], q1)
-    shift = q0 - pow(ctx.q, t, q1)  # q^i0 - q^t: l moves by shift*U
     # per i: (q^i - q^i0)*U = (p^j - 1)*B mod q1, B = a_i - a_i0, solvable iff
     # g = gcd(q^i - q^i0, q1) divides the right side, and then
     # U = (p^j - 1)*B/g * ((q^i - q^i0)/g)^(-1) mod q1/g
@@ -570,8 +658,6 @@ def _semilinear_stabilizer(f: QPoly, t: int) -> tuple[int, int, int, int]:
         A = pow(ctx.q, i, q1) - q0
         g = math.gcd(A, q1)
         eqs.append((g, pow(A // g, -1, q1 // g), a - logs[0]))
-    # j = 0: the gcd of the g with q1 is G = q^g - 1
-    m = math.gcd(q1, q1 // math.gcd(q1, *(g for g, _, _ in eqs)) * shift)
     for j in (j for j in range(1, ctx.N + 1) if ctx.N % j == 0):
         P, sol = ctx.p ** j, (0, 1)
         for g, inv, B in eqs:
@@ -699,13 +785,16 @@ def linear_set_report_raw(f: QPoly, t: int, ceiling=None) -> LinearSetReport:
     """
     if f.is_zero():
         raise FieldError("the zero map defines no linear set of full rank")
-    return _weight_spectrum(f.ctx, _line_scan(f, t, ceiling))
+    return _weight_spectrum(_line_scan(f, t, ceiling))
 
 
-def _weight_spectrum(ctx: FieldCtx, scan: _LineScan) -> LinearSetReport:
-    q = ctx.q
+def _weight_spectrum(scan: _LineScan) -> LinearSetReport:
+    ctx, q = scan.ctx, scan.ctx.q
+    _, lines, values = _classes(scan)
+    per_value = lines // values
+    if (per_value * values != lines).any():
+        raise FieldError("internal error: a class's lines do not spread evenly over its ratios")
     by_size = {(q ** w - 1) // (q - 1): w for w in range(1, ctx.d + 1)}
-    _, per_value, values = _classes(ctx, scan)
     spectrum: dict[int, int] = {}
     ratios_by_size = np.bincount(per_value, weights=values)
     for lsize in np.flatnonzero(ratios_by_size[1:]) + 1:

@@ -211,6 +211,19 @@ def test_module_entry_point_runs_quietly():
     assert json.loads(proc.stdout)["order"] == 8
 
 
+def test_one_parser_serves_every_call(capsys):
+    # main builds its parser once per process: after a usage error, verify
+    # and scatter-test in one process print what a fresh process prints
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    calls = [("scatter-test", "--field", "2^1^3"), ("verify", "alpha-image"),
+             ("scatter-test", "--field", "2^1^4", "--f", "0;0;1", "--t", "0")]
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "scatterpoly.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert run(capsys, *argv) == (proc.returncode, proc.stdout, proc.stderr)
+    assert cli._parser() is cli._parser()
+
+
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"]))
 def test_reports_match_golden_bytes(case, capsys):
     # JSON and CSV reports, error lines and exit codes, pinned byte for byte

@@ -507,8 +507,9 @@ def _affine_shifts(n, P, count):
 @pytest.mark.parametrize("kind", ["lines", "scalar-logs", "affine-logs"])
 def test_line_orbits_match_brute_force(kind):
     # the orbits of k -> P*k mod n, P = p^r, for every divisor r of N,
-    # against the orbits walked one k at a time: on the lines (n = M, from
-    # line_orbits) and on the logs of the sweep's scalars (n = order - 1,
+    # against the orbits walked one k at a time: on the classes of lines
+    # modulo every divisor n of M (from line_orbits, n = M taking every line
+    # apart) and on the logs of the sweep's scalars (n = order - 1,
     # from _ScalarOrbits, with -1 for the scalar 0 first and 7-log batches);
     # affine-logs: k -> P*k + s mod n through _ScalarOrbits, for every
     # divisor n of order - 1 and shifts s that keep the map's order, each
@@ -525,8 +526,11 @@ def test_line_orbits_match_brute_force(kind):
                 P, count = p ** r, ctx.N // r
                 if kind == "affine-logs":
                     maps = [(n, s) for n in range(1, q1 + 1) if q1 % n == 0 for s in _affine_shifts(n, P, count)]
+                elif kind == "lines":
+                    M = q1 // (ctx.q - 1)
+                    maps = [(n, 0) for n in range(1, M + 1) if M % n == 0]
                 else:
-                    maps = [(q1 // (1 if kind == "scalar-logs" else ctx.q - 1), 0)]
+                    maps = [(q1, 0)]
                 for n, s in maps:
                     orbits = {}
                     for k in range(n):
@@ -544,13 +548,10 @@ def test_line_orbits_match_brute_force(kind):
                         sizes = stream.sizes(np.array(sum(batches, [])))
                         assert sizes.tolist() == [1] + [orbits[k] * (q1 // n) for k in sorted(orbits)]
                         continue
-                    leaders, sizes = ctx.line_orbits(r)
-                    if r == ctx.N:
-                        assert (leaders, sizes) == (None, 1)
-                        continue
+                    leaders, sizes = ctx.line_orbits(r, n)
                     assert leaders.tolist() == sorted(orbits)
                     assert sizes.tolist() == [orbits[k] for k in sorted(orbits)]
-                    assert ctx.line_orbits(r)[0] is leaders
+                    assert ctx.line_orbits(r, n)[0] is leaders
 
 
 # fields with a proper subfield, of order at most 256, e > 1 among them
@@ -558,23 +559,27 @@ SUBFIELD_FIELDS = [(2, 1, 4), (2, 1, 6), (2, 1, 8), (2, 2, 2), (2, 2, 3), (2, 2,
                    (3, 1, 2), (3, 1, 4), (3, 2, 2), (5, 1, 2), (7, 1, 2), (13, 1, 2)]
 
 
+def _explicit_modulus_field(rnd, fields):
+    """A field of `fields` with a random explicit modulus: the first monic
+    irreducible at or after a random tail encoding, cyclically."""
+    p, e, d = rnd.choice(fields)
+    n, start = e * d, rnd.randrange(p ** (e * d))
+    tails = ([(start + v) % p ** n // p ** i % p for i in range(n)] for v in range(p ** n))
+    return gf.make_field(p, e, d, modulus=next(tail + [1] for tail in tails if gf.is_irreducible(tail + [1], p)))
+
+
 @st.composite
 def orbit_cases(draw):
     """(f, t, s): f = mu*g with g over a proper subfield F_(p^s), over a field
     with a random explicit modulus, so the scan's symmetry r divides s;
-    the modulus is the first monic irreducible at or after a random tail
-    encoding, cyclically; indices and t go up to 2d, unreduced ones
-    included.  With probability 1/2
-    g is c*X^(q^a) - c*X^(q^b), which vanishes on F_q, so the zero ratio
+    indices and t go up to 2d, unreduced ones included.  With probability
+    1/2 g is c*X^(q^a) - c*X^(q^b), which vanishes on F_q, so the zero ratio
     occurs (the whole map is zero when a = b mod d)."""
     rnd = draw(st.randoms(use_true_random=False))
-    p, e, d = rnd.choice(SUBFIELD_FIELDS)
-    n, start = e * d, rnd.randrange(p ** (e * d))
-    tails = ([(start + v) % p ** n // p ** i % p for i in range(n)] for v in range(p ** n))
-    modulus = next(tail + [1] for tail in tails if gf.is_irreducible(tail + [1], p))
-    ctx = gf.make_field(p, e, d, modulus=modulus)
+    ctx = _explicit_modulus_field(rnd, SUBFIELD_FIELDS)
+    d = ctx.d
     s = rnd.choice([s for s in range(1, ctx.N) if ctx.N % s == 0])
-    sub = ctx.subfield_of_size_elems(p ** s)
+    sub = ctx.subfield_of_size_elems(ctx.p ** s)
     g = [rnd.choice(sub) if rnd.random() < 0.6 else 0 for _ in range(rnd.randrange(1, 2 * d + 2))]
     if rnd.random() < 0.5:
         a, b = rnd.sample(range(2 * d + 1), 2)
@@ -586,25 +591,25 @@ def orbit_cases(draw):
     return lp.QPoly.from_encs(ctx, [ctx.mul_i(mu, v) for v in g]), rnd.randrange(2 * d + 1), s
 
 
-@settings(derandomize=True, deadline=None, max_examples=80)
-@given(case=orbit_cases())
-def test_orbit_scan_matches_brute_force(case):
-    # the scan over one line per orbit of x -> x^(p^r), on fields small
-    # enough for the per-x oracles: verdict, witness, spectrum, and the
-    # lines over each ratio, read from the classes
-    f, t, s = case
+def _check_class_scan(f, t):
+    """The class scan of (f, t) against the per-x oracles, on a field small
+    enough for them: verdict, witness, spectrum, and the lines over each
+    ratio read from the classes, with every symmetry taken however few
+    lines it saves, small blocks and a walk that starts at 2 encodings.
+    Returns the scan."""
     ctx, q = f.ctx, f.ctx.q
     q1 = ctx.order - 1
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sc, "_ORBIT_SCAN_MIN", 0)
         mp.setattr(sc, "_SCAN_BLOCK", 8)
         mp.setattr(sc, "_WALK_BLOCK", 2)
-        r = sc._frobenius_symmetry(f)[1]
         scan = sc._line_scan(f, t)
         verdict, rep = sc.scatter_report(f, t)
-        classes, per_value, values = sc._classes(ctx, scan)
-    assert s % r == 0
-    assert r == ctx.N or min(scan.sizes) < ctx.N // r  # line 0 is fixed
+    classes, lines, values = sc._classes(scan)
+    per_value = lines // values
+    assert (per_value * values == lines).all()
+    # the residue 0 mod n_s is fixed by tau
+    assert scan.leaders is None or min(scan.sizes) < len(scan.powers)
     expected = first_brute_witness(f, t)
     assert verdict.scattered == (expected is None)
     if expected is not None:
@@ -613,24 +618,128 @@ def test_orbit_scan_matches_brute_force(case):
     fibers = np.bincount(counts)
     assert rep.weight_spectrum == {w: int(fibers[q ** w - 1]) for w in range(1, ctx.d + 1)
                                    if q ** w - 1 < len(fibers) and fibers[q ** w - 1]}
-    # class c holds the ratios mu * gen^(c * P^j), each on per_value lines,
-    # that is on per_value * (q - 1) nonzero x
+    # class c holds the ratios mu * gen^l with l mod m in the orbit of c
+    # under l -> P*l, each on per_value lines, that is on per_value * (q - 1)
+    # nonzero x
     per_ratio = {}
     for c, on, n in zip(classes.tolist(), per_value.tolist(), values.tolist()):
-        logs = [-1] if c < 0 else sorted({c * pow(ctx.p ** r, j, q1) % q1 for j in range(ctx.N // r)})
+        orbit = {c * pow(scan.P, j, scan.m) % scan.m for j in range(len(scan.powers))}
+        logs = [-1] if c < 0 else [l for l in range(q1) if l % scan.m in orbit]
         assert len(logs) == n and min(logs) == c
         for v in ctx.power_sum_at_logs([(1, scan.mu)], np.array(logs)).tolist():
             per_ratio[v] = on * (q - 1)
     assert per_ratio == {v: n for v, n in enumerate(counts.tolist()) if n}
     # the trivial group, which small fields take by default, agrees
     assert sc.scatter_report(f, t) == (verdict, rep)
+    return scan
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(case=orbit_cases())
+def test_orbit_scan_matches_brute_force(case):
+    # the scan over one line per class, on fields small enough for the
+    # per-x oracles; f has coefficients in mu*F_(p^s), so r divides s
+    f, t, s = case
+    _check_class_scan(f, t)
+    assert s % sc._frobenius_symmetry(f)[1] == 0
+
+
+# fields of order at most 256 with d even, all but one with a divisor g of d
+# strictly between 1 and d, e > 1 among them
+SCALE_FIELDS = [(2, 1, 4), (2, 1, 6), (2, 1, 8), (2, 2, 4), (3, 1, 4), (3, 2, 2)]
+
+
+@st.composite
+def scale_cases(draw):
+    """(f, t) with a scale group F_(q^g)^*, g >= 2, and a Frobenius symmetry
+    with N/r >= 2, over a field with a random explicit modulus (e > 1 among
+    them): f = mu*h with h over a proper subfield F_(p^s) and supported on
+    indices j0 + g*k, g a divisor of d above 1.  Kinds: b*X + X^(q^2) at
+    t = 1 (g = 2); a monomial, n_s = 1; c*X^(q^a) - c*X^(q^b), which
+    vanishes on F_(q^g), so the zero ratio occurs; and a random such h.
+    Indices and t go up to 2d, unreduced ones included."""
+    rnd = draw(st.randoms(use_true_random=False))
+    ctx = _explicit_modulus_field(rnd, SCALE_FIELDS)
+    d = ctx.d
+    s = rnd.choice([s for s in range(1, ctx.N) if ctx.N % s == 0])
+    sub = ctx.subfield_of_size_elems(ctx.p ** s)
+    # g < d where d allows it, so that 1 < n_s < M
+    g = rnd.choice([g for g in range(2, d) if d % g == 0] or [d])
+    kind = rnd.choice(["binomial", "monomial", "vanishing", "random"])
+    t = rnd.randrange(2 * d + 1)
+    if kind == "binomial":
+        h, t = [rnd.choice(sub[1:]), 0, 1], 1
+    elif kind == "monomial":
+        h = [0] * rnd.randrange(2 * d + 1) + [rnd.choice(sub[1:])]
+    else:
+        j0 = rnd.randrange(d)
+        idx = [j0 + g * k for k in range(2 * d // g + 1)]
+        h = [0] * (idx[-1] + 1)
+        if kind == "vanishing":
+            a, b = rnd.sample(idx, 2)
+            c = rnd.choice(sub[1:])
+            h[a], h[b] = c, ctx.neg_i(c)
+        else:
+            for j in idx:
+                h[j] = rnd.choice(sub) if rnd.random() < 0.6 else 0
+    assume(any(h))
+    mu = rnd.randrange(1, ctx.order)
+    return lp.QPoly.from_encs(ctx, [ctx.mul_i(mu, v) for v in h]), t
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(case=scale_cases())
+def test_scale_class_scan_matches_brute_force(case):
+    # the scan modulo the scale group: n_s = (order - 1)/(q^g - 1) with g
+    # the gcd of d and the index gaps, m = gcd(order - 1, n_s*(q^j0 - q^t)),
+    # and the verdict, witness, spectrum and lines per ratio of the per-x
+    # oracles
+    f, t = case
+    ctx, q, q1 = f.ctx, f.ctx.q, f.ctx.order - 1
+    sup = f.support()
+    g = math.gcd(ctx.d, *(j - sup[0] for j in sup))
+    scan = _check_class_scan(f, t)
+    assert g >= 2 and len(scan.powers) >= 2
+    assert scan.n_s == q1 // (q ** g - 1)
+    assert scan.m == math.gcd(q1, scan.n_s * (q ** sup[0] - q ** t))
+
+
+def test_scale_classes_count_guard(monkeypatch):
+    # the reduction cannot switch off silently: b*X + X^9, t = 1, with b the
+    # generator of F_(3^4) inside F_(3^12) has r = 4 and g = 2, so the scan
+    # evaluates one leader per orbit of k -> 81*k mod n_s = 3^12 - 1 / 8,
+    # 22,150 of them; a monomial X^(q^s) has n_s = 1, reads one line and
+    # never calls line_orbits
+    small, ext = gf.make_field(3, 1, 4), gf.make_field(3, 1, 12)
+    b = gf.embed(small, ext).map_enc(small.gen_enc)
+    evaluated = []
+    evaluate = gf.FieldCtx.log_power_sum_at_logs
+
+    def counted(self, terms, ks):
+        evaluated.append(len(ks))
+        return evaluate(self, terms, ks)
+
+    def refused(self, r, n):
+        raise AssertionError("line_orbits called for a monomial")
+
+    monkeypatch.setattr(gf.FieldCtx, "log_power_sum_at_logs", counted)
+    scan = sc._line_scan(lp.QPoly.from_encs(ext, [b, 0, 1]), 1)
+    assert (scan.n_s, len(scan.powers)) == ((ext.order - 1) // 8, 3)
+    assert sum(evaluated) == len(scan.keys) == 22150
+    monkeypatch.setattr(gf.FieldCtx, "line_orbits", refused)
+    for ctx in (ext, gf.make_field(2, 1, 16)):
+        for s in range(2 * ctx.d):
+            evaluated.clear()
+            scan = sc._line_scan(lp.QPoly.monomial(ctx, s), 1)
+            assert scan.n_s == 1 and scan.leaders is None
+            assert sum(evaluated) == len(scan.keys) == 1
 
 
 def test_witness_class_with_one_spread_leader():
     # the first fat x of these pairs has a ratio whose lines lie in one line
     # orbit: its class holds a single leader, whose orbit is larger than the
-    # ratio's, so the walk's fat test must read the orbit size as well as the
-    # number of leaders
+    # ratio's, so the walk's fat test must read the class's lines per ratio,
+    # not its number of leaders
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sc, "_ORBIT_SCAN_MIN", 0)
         for (p, e, d), encs, t in (((2, 1, 6), [58, 1, 0, 58, 59], 5), ((2, 2, 5), [1, 0, 236], 3)):
@@ -640,7 +749,7 @@ def test_witness_class_with_one_spread_leader():
             verdict = sc._fiber_verdict(f, scan)
             assert tuple(w.val for w in verdict.witness) == first_brute_witness(f, t)
             logs = ctx.log_power_sum_at_logs(scan.terms, ctx.log_vec([verdict.witness[0].val]))
-            least = sc._ratio_orbits(logs, scan.powers, ctx.order - 1)[0]
+            least = sc._ratio_classes(logs, scan.powers, scan.m)
             assert np.count_nonzero(scan.keys >> scan.bits == least[0]) == 1
 
 
