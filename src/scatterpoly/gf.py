@@ -9,17 +9,19 @@ The modulus is the lexicographically least monic irreducible polynomial of
 degree N over F_p, coefficients compared from the constant term up.
 
 Arithmetic runs on one log layout built once per field: discrete logs to a
-least multiplicative generator, antilogs, and for odd p the Zech logarithms
-Z(k) = log(1 + g^k), so u + v = u * (1 + v/u) is table lookups as well.  The
-first block of antilogs is digit rows stepped by one F_p matrix,
-multiplication by the generator; the rest of the period is filled by
-doubling, each step a multiplication by gen^L applied through lookup tables
-of a few digits each, and the log table is checked by its own fill.  For
-p = 2 scalar addition is XOR, the native addition of the encoding.  The one array
-kernel is `FieldCtx.power_sum_at_logs`, which evaluates sum c * x^m at
-x = gen^k from the exponents k, with every term kept as a log (m * k + log c)
-until one antilog gather at the end; a scan over a range of k never reads a
-log, and `FieldCtx.log_power_sum_at_logs` is the same sum ending in its log.
+least multiplicative generator, antilogs over two periods, and for odd p the
+Zech logarithms Z(k) = log(1 + g^k) over one, so u + v = u * (1 + v/u) is
+table lookups as well.  The first block of antilogs is digit rows stepped by
+one F_p matrix, multiplication by the generator; the rest of the period is
+filled by doubling, each step a multiplication by gen^L applied through
+lookup tables of a few digits each, and the log table is checked by its own
+fill.  For p = 2 scalar addition is XOR, the native addition of the
+encoding.  The one array kernel is `FieldCtx.power_sum_at_logs`, which
+evaluates sum c * x^m at x = gen^k from the exponents k, with every term
+and running sum kept as a log reduced to [0, order - 1) (m * k + log c)
+until one antilog gather at the end; a scan over a range of k never reads
+a log, and `FieldCtx.log_power_sum_at_logs` is the same sum ending in its
+log.
 `FieldCtx.power_sum` is that kernel on log x, and the other array
 operations are power sums (u * v is v * u^1, u + v is 1 * u^1 + v * u^0, 1/u
 is u^(order - 2)).  Coordinates over F_q are remainders modulo the minimal
@@ -38,7 +40,7 @@ import numpy as np
 
 DEFAULT_ENUM_CEILING = 1 << 22
 # Largest field whose log tables are built: the int32 tables take 12 bytes
-# per element for p = 2 (768 MiB at 2^26) and 20 for odd p, and int32 sums of
+# per element for p = 2 (768 MiB at 2^26) and 16 for odd p, and int32 sums of
 # two logs stay below 2^31.
 TABLE_CEILING = 1 << 26
 # The table build's doubling steps multiply _BUILD_BLOCK encodings at a time
@@ -336,9 +338,10 @@ class FieldCtx:
     def _ensure_tables(self):
         """Build the log layout: `_log` (int32, -1 at 0); `_exp` (int32), the
         powers gen^0 .. gen^(order-2) twice over and a trailing 0, so a sum of
-        two logs indexes it directly and index -1 reads 0; and for odd p
-        `_zech`, Z(k) = log(1 + gen^k) twice over, so a difference of two logs
-        indexes it directly (negative differences wrap).
+        two reduced logs indexes it directly and index -1 reads 0; and for odd
+        p `_zech` (int32), Z(k) = log(1 + gen^k) over one period, so a
+        difference of two reduced logs indexes it directly (a negative one
+        wraps once).
 
         `mat` is multiplication by gen on digit rows (row i holds the digits
         of gen * g^i).  Doubling `dig` from the digits of 1 with `dig @ mat`,
@@ -347,7 +350,10 @@ class FieldCtx:
         by doubling, period[L:2L] = gen^L * period[:L], each step a
         `_multiplier` map of the current `mat`, which is then squared.  The
         order - 1 writes of `_log` fill its nonzero slots exactly once iff gen
-        generates, so the fill checks itself."""
+        generates, so the fill checks itself.  That fill is one shot, through
+        an order-sized arange freed before `_zech` is allocated, and `_zech`
+        is filled _BUILD_BLOCK entries at a time, so the build peaks at about
+        the table bytes."""
         if self._exp is not None:
             return
         if self.order > TABLE_CEILING:
@@ -381,8 +387,12 @@ class FieldCtx:
             raise FieldError("internal error: bad discrete log table")
         if p > 2:
             # 1 + x only increments digit 0 of x
-            low = period % p
-            self._zech = np.tile(log[period - low + (low + 1) % p], 2)
+            zech = np.empty(q1, dtype=np.int32)
+            for lo in range(0, q1, _BUILD_BLOCK):
+                xs = period[lo : lo + _BUILD_BLOCK]
+                low = xs % p
+                zech[lo : lo + _BUILD_BLOCK] = log[xs - low + (low + 1) % p]
+            self._zech = zech
         self._mulgen_enc = gen
         self._log = log
         self._exp = exp
@@ -514,15 +524,24 @@ class FieldCtx:
     def _add_logs(self, lu, lv):
         """log(g^lu + g^lv) for odd p, broadcasting, as a new int32 array.
 
-        Logs in and out are at most 2(order - 2), the largest sum of two
-        reduced logs, so every difference indexes the doubled `_zech`; -1
-        stands for 0."""
+        Logs in and out are reduced to [0, order - 1), -1 standing for 0, so
+        a difference of two logs indexes the one-period `_zech` (a negative
+        one wraps once).  A zero operand is found by one min per operand: the
+        sum is then the other operand, and lu = -1 is clamped to 0 for the
+        gather, since its difference with order - 2 would be order - 1."""
         q1 = self.order - 1
-        s = np.asarray(self._zech[np.subtract(lv, lu)])  # log(1 + g^(lv - lu))
+        u_zero = lu.min(initial=0) < 0
+        v_zero = lv.min(initial=0) < 0
+        s = np.asarray(self._zech[np.subtract(lv, np.maximum(lu, 0) if u_zero else lu)])  # log(1 + g^(lv - lu))
         np.add(s, lu, out=s, where=s >= 0)  # s = -1 stays: v = -u
-        np.subtract(s, q1, out=s, where=s > 2 * q1 - 2)
-        np.copyto(s, lv, where=lu < 0)
-        np.copyto(s, lu, where=lv < 0)
+        # s < 2(order - 1): less order - 1, and order - 1 back where that is
+        # negative, it is reduced, and s = -1 comes back to -1
+        s -= q1
+        _wrap_up(s, q1)
+        if u_zero:
+            np.copyto(s, lv, where=lu < 0)
+        if v_zero:
+            np.copyto(s, lu, where=lv < 0)
         return s
 
     def add_vec(self, u, v):
@@ -569,37 +588,35 @@ class FieldCtx:
         without reading log x.
 
         The sum runs on logs, -1 standing for 0.  A term's log is
-        (m * k mod (order - 1)) + log c, at most 2(order - 2), so it indexes
-        the doubled tables as it is.  Terms are added as Zech logs for odd p
-        and as XORed antilogs for p = 2; one antilog gather ends the sum."""
+        m * k + log c reduced to [0, order - 1), so it indexes the tables as
+        it is.  Terms are added as Zech logs for odd p and as XORed antilogs
+        for p = 2; one antilog gather ends the sum."""
         acc, lx = self._sum_at_logs(terms, ks)
         if acc is None:
             return np.zeros(lx.shape, dtype=np.int64)
         if self.p > 2:
-            # acc is a new array of logs (or a scalar): the antilogs overwrite it
+            # acc is a new array of logs (or a scalar): the antilogs overwrite
+            # it.  No log wraps, but mode="raise" would buffer `out`.
             acc = np.asarray(acc)
             np.take(self._exp, acc, out=acc, mode="wrap")
         return _shaped(acc, lx.shape, np.int64)
 
     def log_power_sum_at_logs(self, terms, ks):
-        """The log of power_sum_at_logs(terms, ks), reduced to
-        [0, order - 1) and -1 where the sum is 0, as a new int32 array.  For
-        odd p the Zech sum already ends in a log, reduced here by one
-        subtraction; for p = 2 the XORed antilogs take one log gather."""
+        """The log of power_sum_at_logs(terms, ks), in [0, order - 1) and -1
+        where the sum is 0, as a new int32 array.  For odd p the Zech sum
+        already ends in a reduced log; for p = 2 the XORed antilogs take one
+        log gather."""
         acc, lx = self._sum_at_logs(terms, ks)
         if acc is None:
             return np.full(lx.shape, -1, dtype=np.int32)
         if self.p == 2:
             acc = self._log[acc]
-        else:
-            acc = np.asarray(acc)
-            np.subtract(acc, self.order - 1, out=acc, where=acc >= self.order - 1)
         return _shaped(acc, lx.shape, np.int32)
 
     def _sum_at_logs(self, terms, ks):
         """(acc, lx): lx = ks as an array and acc the power sum at gen^k,
-        held as logs of at most 2(order - 2) for odd p and as int32
-        encodings for p = 2; None when every coefficient is 0."""
+        held as logs in [-1, order - 1) for odd p and as int32 encodings for
+        p = 2; None when every coefficient is 0."""
         self._ensure_tables()
         lx = np.asarray(ks)
         q1 = self.order - 1
@@ -631,24 +648,47 @@ class FieldCtx:
 
     def _term_log(self, lx, mr, lc, x_zero):
         """log(c * x^m) from lx = log x, mr = m mod (order - 1) for m > 0 and
-        lc = log c, as a new array (int32 for odd p, whose sums run on the
-        int32 Zech table; int64 for p = 2, the index type the antilog gather
-        takes without converting); -1 where x or c is 0."""
+        lc = log c, reduced to [0, order - 1), as a new array (int32 for odd
+        p, whose sums run on the int32 Zech table; int64 for p = 2, the index
+        type the antilog gather takes without converting); -1 where x or c
+        is 0.
+
+        A scalar log c joins m * log x before the one floor-division
+        reduction, whose last subtraction writes the result in its dtype.
+        An array of logs c broadcasts past x, so it is added after the
+        reduction.  For odd p it is added less order - 1, and order - 1 goes
+        back on where the sum is negative; for p = 2 the sum, below
+        2(order - 1), is left as it is, since it only indexes the doubled
+        antilog table."""
         q1 = self.order - 1
         # int64: the product can pass 2^31; asarray keeps a lone x writable in place
         power = np.asarray(np.multiply(lx, mr, dtype=np.int64))
+        if lc.ndim == 0:
+            power += lc
         quot = power // q1  # floor division by a scalar is numpy's fast path, % is not
         quot *= q1
-        power -= quot
-        del quot  # freed before lt is allocated
-        # a zero factor becomes a log of -2(order - 1): any sum with it stays negative
-        zero = -2 * q1
+        if self.p > 2:
+            # the int32 difference wraps as it is formed, but lies in [0, order - 1)
+            lt = np.asarray(np.subtract(power, quot, dtype=np.int32))
+        else:
+            power -= quot
+            lt = power
+        del power, quot  # for odd p both go before the sum with an array c is allocated
+        if lc.ndim == 0:
+            if x_zero is not None:
+                np.copyto(lt, -1, where=x_zero)
+            return lt
+        # a zero factor becomes a log of -3(order - 1): any sum with it stays
+        # negative past _wrap_up
+        zero = -3 * q1
         if x_zero is not None:
-            np.copyto(power, zero, where=x_zero)
-        c_zero = lc.ndim > 0 and lc.min(initial=0) < 0
-        if c_zero:
-            lc = np.where(lc < 0, zero, lc)
-        lt = np.asarray(np.add(power, lc, dtype=np.int32 if self.p > 2 else np.int64))
+            np.copyto(lt, zero, where=x_zero)
+        c_zero = lc.min(initial=0) < 0
+        if self.p > 2:
+            # on the coefficients' shape, which the sum's broadcasts
+            lt = _wrap_up(lt + (np.where(lc < 0, zero, lc - q1) if c_zero else lc - q1), q1)
+        else:
+            lt = lt + (np.where(lc < 0, zero, lc) if c_zero else lc)
         if x_zero is not None or c_zero:
             np.maximum(lt, -1, out=lt)
         return lt
@@ -896,6 +936,14 @@ def orbit_leaders(n: int, P: int, count: int, s: int = 0):
             keep = ks <= conj
             ks, conj = ks[keep], conj[keep]
         yield ks
+
+
+def _wrap_up(a, n: int) -> np.ndarray:
+    """a + n where a < 0, in place, for an int32 array a: its sign bits,
+    shifted down, mask n.  A masked add on a random half of the entries
+    costs several times more."""
+    a += a >> 31 & n
+    return a
 
 
 def _shaped(acc, shape, dtype) -> np.ndarray:

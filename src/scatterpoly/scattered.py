@@ -287,12 +287,16 @@ def scatter_report(f: QPoly, t: int, ceiling=None) -> tuple[ScatterVerdict, Line
     if f.is_zero():
         raise FieldError("scatteredness is undefined for the zero map")
     scan = _line_scan(f, t, ceiling)
-    return _fiber_verdict(f, scan), _weight_spectrum(scan)
+    classes = _classes(scan)
+    return _fiber_verdict(f, scan, classes), _weight_spectrum(f.ctx, classes)
 
 
-def _fiber_verdict(f: QPoly, scan: _LineScan) -> ScatterVerdict:
+def _fiber_verdict(f: QPoly, scan: _LineScan, classes=None) -> ScatterVerdict:
     """The verdict from the class scan, with the first witness in canonical
-    order.  x is the least encoding whose ratio lies on two lines or more:
+    order; classes is _classes(scan) when the caller has it already.  The
+    pair is scattered iff every class has one line per ratio, which under
+    the trivial group is read off the ranked keys with no class table.
+    x is the least encoding whose ratio lies on two lines or more:
     encodings are walked in blocks that double from _WALK_BLOCK, and the
     walk stops at the first block holding one.  Its mates are the points of
     the lines over its ratio, and y is the least of them off the line of x.
@@ -300,11 +304,11 @@ def _fiber_verdict(f: QPoly, scan: _LineScan) -> ScatterVerdict:
     its orbit size, never by listing the class: the lines P^j*k + i*n_s
     carry the log P^j*log R'(k) + i*step, which is the log of R'(x) for the
     i that solve one linear congruence mod order - 1."""
-    if scan.trivial:
+    if classes is None and scan.trivial:
         # the pair is scattered iff no two lines share a ratio
         scattered = (scan.ranked[1:] != scan.ranked[:-1]).all()
     else:
-        _, lines, values = _classes(scan)
+        _, lines, values = _classes(scan) if classes is None else classes
         scattered = (lines == values).all()
     if scattered:
         return ScatterVerdict(True, None)
@@ -785,12 +789,13 @@ def linear_set_report_raw(f: QPoly, t: int, ceiling=None) -> LinearSetReport:
     """
     if f.is_zero():
         raise FieldError("the zero map defines no linear set of full rank")
-    return _weight_spectrum(_line_scan(f, t, ceiling))
+    return _weight_spectrum(f.ctx, _classes(_line_scan(f, t, ceiling)))
 
 
-def _weight_spectrum(scan: _LineScan) -> LinearSetReport:
-    ctx, q = scan.ctx, scan.ctx.q
-    _, lines, values = _classes(scan)
+def _weight_spectrum(ctx: FieldCtx, classes) -> LinearSetReport:
+    """The weight spectrum from the (classes, lines, values) of a line scan."""
+    q = ctx.q
+    _, lines, values = classes
     per_value = lines // values
     if (per_value * values != lines).any():
         raise FieldError("internal error: a class's lines do not spread evenly over its ratios")

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import random
 import re
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -358,7 +359,7 @@ def test_table_cap_checked_before_allocation():
 
 
 # (p, e, d, modulus): the multiplicative generator and SHA-256 digests, as
-# little-endian int64, of _exp[:order - 1], _log and _zech[:order - 1]
+# little-endian int64, of _exp[:order - 1], _log and _zech
 TABLE_DIGESTS = {
     (2, 1, 1, None): (
         1, "7c9fa136d4413fa6173637e883b6998d32e1d675f88cddff9dcbcf331820f4b8",
@@ -432,8 +433,9 @@ def test_log_tables_are_pinned():
         if p == 2:
             assert ctx._zech is None and zech is None
         else:
-            assert ctx._zech.dtype == np.int32 and ctx._zech.shape == (2 * q1,)
-            assert (ctx._zech[q1:] == ctx._zech[:q1]).all() and _sha256_int64(ctx._zech[:q1]) == zech
+            # one period: a difference of two reduced logs wraps once
+            assert ctx._zech.dtype == np.int32 and ctx._zech.shape == (q1,)
+            assert _sha256_int64(ctx._zech) == zech
 
 
 def test_generator_search_skips_the_prime_field():
@@ -502,6 +504,15 @@ def test_tables_match_the_scalar_route():
             assert int(ctx._exp[k]) == ctx._pow_slow(gen, k) == int(ctx._exp[q1 + k])
             assert ctx._log[ctx._exp[k]] == k
         assert ctx._exp[-1] == 0
+        if p == 2:
+            continue
+        # one period of Zech logs: gen^Z(k) = 1 + gen^k, digit 0 stepped by one
+        assert ctx._zech.dtype == np.int32 and ctx._zech.shape == (q1,)
+        for k in ks:
+            digits = list(ctx.digits(ctx._pow_slow(gen, k)))
+            digits[0] = (digits[0] + 1) % p
+            one_plus, z = ctx.undigits(digits), int(ctx._zech[k])
+            assert z == -1 if one_plus == 0 else 0 <= z < q1 and ctx._pow_slow(gen, z) == one_plus
 
 
 def test_table_check_rejects_a_non_generator():
@@ -644,6 +655,108 @@ def test_power_sum_returns_new_int64_arrays():
                 assert type(out) is np.ndarray and out.dtype == np.int64 and out.shape == want
                 assert not np.shares_memory(out, ctx._exp) and not np.shares_memory(out, row)
                 assert not np.shares_memory(out, xs)
+
+
+# odd p in {3, 5, 7}, e > 1 and explicit moduli (X^3 + 2X + 2, X^2 + 2 and
+# X^2 + 1, none canonical); 728, 624 and 2400 take doubling steps
+REDUCED_LOG_FIELDS = lambda: (
+    gf.make_field(3, 2, 3), gf.make_field(5, 1, 4), gf.make_field(7, 2, 2),
+    gf.make_field(3, 1, 3, modulus=(2, 2, 0, 1)), gf.make_field(5, 1, 2, modulus=(2, 0, 1)),
+    gf.make_field(7, 1, 2, modulus=(1, 0, 1)),
+)
+
+
+def _antilog_slow(ctx, k):
+    """gen^k by square-and-multiply on digit polynomials; 0 at k = -1."""
+    return 0 if k < 0 else ctx._pow_slow(ctx.mult_generator_enc, k)
+
+
+def _power_sum_slow(ctx, terms, x):
+    """sum c * x^m on one encoding: _mul_slow products added digitwise."""
+    acc = 0
+    for m, c in terms:
+        power = 1 if m == 0 else 0 if x == 0 else ctx._pow_slow(x, m)
+        acc = _digitwise(ctx, acc, ctx._mul_slow(c, power), 1)
+    return acc
+
+
+def test_add_logs_on_reduced_logs():
+    # every pair from the ends of [-1, order - 1), around the log of -1 and
+    # inside: lu = -1 against lv = order - 2, and the mirror, differ by
+    # order - 1, one past the period of _zech; u + (-u) gives -1
+    rng = random.Random(97)
+    for ctx in REDUCED_LOG_FIELDS():
+        q1 = ctx.order - 1
+        half = q1 // 2  # the log of -1
+        logs = sorted({-1, 0, 1, half - 1, half, half + 1, q1 - 2, q1 - 1} | {rng.randrange(q1) for _ in range(6)})
+        lu, lv = (np.array(side, dtype=np.int32) for side in zip(*itertools.product(logs, repeat=2)))
+        want = [_digitwise(ctx, _antilog_slow(ctx, a), _antilog_slow(ctx, b), 1) for a, b in zip(lu.tolist(), lv.tolist())]
+        for out in (ctx._add_logs(lu, lv), ctx._add_logs(lu.reshape(len(logs), -1)[:, :1], lv[:len(logs)]).ravel()):
+            assert out.dtype == np.int32 and ((-1 <= out) & (out < q1)).all()
+            assert [_antilog_slow(ctx, s) for s in out.tolist()] == want
+        for a, b in ((-1, q1 - 1), (q1 - 1, -1), (-1, -1), (0, half)):
+            out = ctx._add_logs(np.int32(a), np.int32(b))
+            assert out.ndim == 0 and _antilog_slow(ctx, int(out)) == _digitwise(ctx, _antilog_slow(ctx, a), _antilog_slow(ctx, b), 1)
+        # and the scalar route's wrap, on the same one period
+        assert ctx.add_i(1, _antilog_slow(ctx, q1 - 1)) == _digitwise(ctx, 1, _antilog_slow(ctx, q1 - 1), 1)
+
+
+def test_power_sums_on_reduced_logs():
+    # against _mul_slow and digitwise sums, at x = 0 (k = -1), at both ends
+    # of the period and inside; every log out lies in [-1, order - 1)
+    rng = random.Random(101)
+    for ctx in REDUCED_LOG_FIELDS():
+        q1 = ctx.order - 1
+        c = lambda: rng.randrange(1, ctx.order)
+        ks = np.array(sorted({-1, 0, 1, q1 // 2, q1 - 2, q1 - 1} | {rng.randrange(q1) for _ in range(10)}))
+        xs = [_antilog_slow(ctx, k) for k in ks.tolist()]
+        u = c()
+        neg_u = _digitwise(ctx, 0, u, -1)
+        cases = [
+            # u + (-u) cancels at every x, then further terms
+            [(3, u), (3, neg_u), (ctx.q, c()), (1, 0), (0, c())],
+            [(0, u), (0, neg_u), (q1 - 1, c())],
+            [(5, u), (5, neg_u)],
+            # any m > 0 vanishes at x = 0, a multiple of order - 1 included
+            [(q1, c()), (2 * q1, c()), (3 * q1 + 1, c())],
+            [(q1, c()), (0, c())],
+            [(rng.randrange(1, 3 * ctx.order), c()) for _ in range(5)],
+        ]
+        for terms in cases:
+            want = [_power_sum_slow(ctx, terms, x) for x in xs]
+            assert ctx.power_sum_at_logs(terms, ks).tolist() == want
+            logs = ctx.log_power_sum_at_logs(terms, ks)
+            assert logs.dtype == np.int32 and ((-1 <= logs) & (logs < q1)).all()
+            assert [_antilog_slow(ctx, k) for k in logs.tolist()] == want
+            lone = ctx.log_power_sum_at_logs(terms, np.int64(-1))  # a lone x = 0
+            assert lone.ndim == 0 and _antilog_slow(ctx, int(lone)) == want[0]
+        # array coefficients holding 0 that broadcast past x: a column of
+        # points against rows of coefficients
+        row = np.array([0, c(), 0, c(), 1, ctx.p - 1])
+        rows = [(1, row), (ctx.q, row[::-1].copy()), (q1, np.zeros(len(row), dtype=np.int64)), (0, row), (2, c())]
+        want = [[_power_sum_slow(ctx, [(m, int(np.broadcast_to(cs, row.shape)[j])) for m, cs in rows], x)
+                 for j in range(len(row))] for x in xs]
+        assert ctx.power_sum_at_logs(rows, ks[:, None]).tolist() == want
+        logs = ctx.log_power_sum_at_logs(rows, ks[:, None])
+        assert logs.shape == (len(ks), len(row)) and ((-1 <= logs) & (logs < q1)).all()
+        assert [[_antilog_slow(ctx, k) for k in r] for r in logs.tolist()] == want
+
+
+def test_table_build_peak_is_the_tables():
+    # the F_(3^12) build allocates its tables and one block's temporaries at
+    # a time: no order-sized temporary outlives the one-shot log fill, whose
+    # arange stands in for the Zech table not yet allocated
+    ctx = gf.FieldCtx(3, 1, 12)  # not make_field: the tables are built here
+    ctx.modulus  # the modulus search allocates nothing order-sized either
+    tracemalloc.start()
+    try:
+        ctx._ensure_tables()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tables = ctx._exp.nbytes + ctx._log.nbytes + ctx._zech.nbytes
+    assert tables == 16 * ctx.order - 8  # int32: _exp 2(order - 1) + 1, _log order, _zech order - 1
+    assert peak <= tables + 32 * gf._BUILD_BLOCK
 
 
 def test_frob_vec_keeps_zero_over_f2():

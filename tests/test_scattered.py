@@ -735,6 +735,27 @@ def test_scale_classes_count_guard(monkeypatch):
             assert sum(evaluated) == len(scan.keys) == 1
 
 
+def test_scatter_report_builds_the_class_table_once(monkeypatch):
+    # scatter_report hands one class table to the verdict and the spectrum;
+    # scatter_test still builds its own under a symmetry group and none
+    # under the trivial group, where the ranked keys decide
+    small, ext = gf.make_field(3, 1, 4), gf.make_field(3, 1, 12)
+    b = gf.embed(small, ext).map_enc(small.gen_enc)
+    f2 = gf.make_field(2, 1, 6)
+    built = []
+    classes = sc._classes
+    monkeypatch.setattr(sc, "_classes", lambda scan: built.append(scan.trivial) or classes(scan))
+    for f, t, trivial in ((lp.QPoly.from_encs(ext, [b, 0, 1]), 1, False),
+                          (lp.QPoly.from_encs(ext, [b, 0, 0, 1]), 1, False),
+                          (lp.QPoly.from_encs(f2, [1, 1]), 0, True), (lp.QPoly.from_encs(f2, [0, 1, 1]), 0, True)):
+        built.clear()
+        report = sc.scatter_report(f, t)
+        assert built == [trivial]
+        built.clear()
+        assert report == (sc.scatter_test(f, t), sc.linear_set_report_raw(f, t))
+        assert built == [trivial] * (1 if trivial else 2)
+
+
 def test_witness_class_with_one_spread_leader():
     # the first fat x of these pairs has a ratio whose lines lie in one line
     # orbit: its class holds a single leader, whose orbit is larger than the
