@@ -327,23 +327,35 @@ def scatter_curve_numerator(f: QPoly, t: int) -> BivarPoly:
 
 
 def build_scatter_curve(f: QPoly, t: int) -> BivarPoly:
-    """The quotient curve of (f, t): numerator divided exactly by
-    X^q Y - X Y^q.  The division is always exact for a valid instance and the
-    quotient degree is q^k + q^t - q - 1 for top index k."""
+    """The quotient curve of (f, t): the numerator divided exactly by
+    X^q Y - X Y^q, of degree q^k + q^t - q - 1 for top index k.
+
+    The quotient is written down, not divided out.  With lo, hi the sorted
+    q^j, q^t of an index j != t of the folded support and L = (hi - lo)/(q - 1),
+    the pair of numerator terms of j is c_j (X^hi Y^lo - X^lo Y^hi), c_j
+    negated when j < t, and X^hi Y^lo - X^lo Y^hi = (XY)^lo (A^L - B^L) with
+    A = X^(q-1), B = Y^(q-1), while the divisor is XY (A - B).  So j gives
+    c_j (XY)^(lo-1) sum_(i<L) A^i B^(L-1-i), all of degree q^j + q^t - q - 1:
+    no two indices meet."""
     ctx = f.ctx
     if f.is_zero():
         raise FieldError("f must be nonzero")
-    num = scatter_curve_numerator(f, t)
+    fr = f.reduce_indices()
+    tt = t % ctx.d
+    if not fr.coeff(tt).is_zero():
+        raise FieldError(f"coefficient at index {t} must be zero")
     q = ctx.q
-    den = BivarPoly(ctx, {(q, 1): 1, (1, q): ctx.neg_i(1)})
-    if num.is_zero():
+    out: dict = {}
+    for j, c in enumerate(fr.encs):
+        if c and j != tt:
+            lo, hi = sorted((q ** j, q ** tt))
+            L, c = (hi - lo) // (q - 1), ctx.neg_i(c) if j < tt else c
+            out.update({(lo - 1 + (q - 1) * i, lo - 1 + (q - 1) * (L - 1 - i)): c for i in range(L)})
+    if not out:
         # every term shares index t; the instance normalization forbids this
         raise FieldError("numerator vanished: f is supported only at index t")
-    quot = exact_divide(num, den)
-    fr = f.reduce_indices()
-    k = fr.qdegree()
-    expected = q ** k + q ** (t % ctx.d) - q - 1
-    if quot.degree() != expected:
+    quot = BivarPoly(ctx, out)
+    if quot.degree() != q ** fr.qdegree() + q ** tt - q - 1:
         raise FieldError("internal error: unexpected curve degree")
     return quot
 

@@ -21,7 +21,9 @@ evaluates sum c * x^m at x = gen^k from the exponents k, with every term
 and running sum kept as a log reduced to [0, order - 1) (m * k + log c)
 until one antilog gather at the end; a scan over a range of k never reads
 a log, and `FieldCtx.log_power_sum_at_logs` is the same sum ending in its
-log.
+log.  Terms c * x^m with m > 0 and a scalar c go in stacks of at most
+_BUILD_BLOCK // size, one pass each: their logs reduced together, then one
+XOR reduction (p = 2) or a pairwise Zech tree (odd p).
 `FieldCtx.power_sum` is that kernel on log x, and the other array
 operations are power sums (u * v is v * u^1, u + v is 1 * u^1 + v * u^0, 1/u
 is u^(order - 2)).  Coordinates over F_q are remainders modulo the minimal
@@ -44,7 +46,8 @@ DEFAULT_ENUM_CEILING = 1 << 22
 # two logs stay below 2^31.
 TABLE_CEILING = 1 << 26
 # The table build's doubling steps multiply _BUILD_BLOCK encodings at a time
-# through lookup tables of about _BUILD_TABLE entries, so both stay in L2.
+# through lookup tables of about _BUILD_TABLE entries, so both stay in L2; a
+# power sum stacks the logs of at most _BUILD_BLOCK scalar terms and points.
 _BUILD_BLOCK = 1 << 14
 _BUILD_TABLE = 1 << 11
 # orbit_leaders filters _ORBIT_BLOCK candidates at a time
@@ -590,7 +593,9 @@ class FieldCtx:
         The sum runs on logs, -1 standing for 0.  A term's log is
         m * k + log c reduced to [0, order - 1), so it indexes the tables as
         it is.  Terms are added as Zech logs for odd p and as XORed antilogs
-        for p = 2; one antilog gather ends the sum."""
+        for p = 2, those with m > 0 and a scalar c in stacks of at most
+        _BUILD_BLOCK // size terms (see _sum_at_logs); one antilog gather
+        ends the sum."""
         acc, lx = self._sum_at_logs(terms, ks)
         if acc is None:
             return np.zeros(lx.shape, dtype=np.int64)
@@ -616,68 +621,92 @@ class FieldCtx:
     def _sum_at_logs(self, terms, ks):
         """(acc, lx): lx = ks as an array and acc the power sum at gen^k,
         held as logs in [-1, order - 1) for odd p and as int32 encodings for
-        p = 2; None when every coefficient is 0."""
+        p = 2; None when every coefficient is 0.
+
+        The terms c * x^m with m > 0 and a scalar c go in stacks of at most
+        _BUILD_BLOCK // size terms (_stack_sum), so a call over more than
+        _BUILD_BLOCK points takes them one at a time; a constant, or a term
+        with an array of coefficients, is a pass of its own (_array_term)."""
         self._ensure_tables()
         lx = np.asarray(ks)
-        q1 = self.order - 1
         x_zero = lx < 0 if lx.min(initial=0) < 0 else None
+        # a scalar c = 0 drops
+        stack = [(m % (self.order - 1), self._log[c]) for m, c in terms if m and not isinstance(c, np.ndarray) and c]
+        group = _BUILD_BLOCK // (lx.size or 1) or 1
         acc = None
-        for m, c in terms:
-            lt = self._log[c]
-            if lt.ndim == 0 and lt < 0:
-                continue  # c = 0
-            if m:
-                lt = self._term_log(lx, m % q1, lt, x_zero)
-            if self.p > 2:
-                acc = lt if acc is None else self._add_logs(acc, lt)
-                continue
-            # the term's antilogs (-1 reads the trailing 0) XOR into whichever
-            # operand has the sum's shape
-            lt = self._exp[lt]
-            if acc is None:
-                acc = lt
-                continue
-            shape = np.broadcast_shapes(acc.shape, lt.shape)
-            if acc.shape != shape:
-                acc, lt = lt, acc
-            if acc.shape == shape:
-                acc ^= lt
-            else:
-                acc = acc ^ lt
+        for lo in range(0, len(stack), group):
+            acc = self._add_to(acc, self._stack_sum(lx, stack[lo : lo + group], x_zero))
+        for m, c in terms if len(stack) < len(terms) else ():
+            if isinstance(c, np.ndarray) or not m and c:
+                acc = self._add_to(acc, self._array_term(lx, m, self._log[c], x_zero))
         return acc, lx
 
-    def _term_log(self, lx, mr, lc, x_zero):
-        """log(c * x^m) from lx = log x, mr = m mod (order - 1) for m > 0 and
-        lc = log c, reduced to [0, order - 1), as a new array (int32 for odd
-        p, whose sums run on the int32 Zech table; int64 for p = 2, the index
-        type the antilog gather takes without converting); -1 where x or c
-        is 0.
-
-        A scalar log c joins m * log x before the one floor-division
-        reduction, whose last subtraction writes the result in its dtype.
-        An array of logs c broadcasts past x, so it is added after the
-        reduction.  For odd p it is added less order - 1, and order - 1 goes
-        back on where the sum is negative; for p = 2 the sum, below
-        2(order - 1), is left as it is, since it only indexes the doubled
-        antilog table."""
-        q1 = self.order - 1
-        # int64: the product can pass 2^31; asarray keeps a lone x writable in place
-        power = np.asarray(np.multiply(lx, mr, dtype=np.int64))
-        if lc.ndim == 0:
-            power += lc
-        quot = power // q1  # floor division by a scalar is numpy's fast path, % is not
-        quot *= q1
+    def _add_to(self, acc, part):
+        """acc + part, partial sums held as _sum_at_logs holds them (acc None
+        before the first): Zech logs for odd p, and for p = 2 an XOR into
+        whichever operand has the sum's shape."""
+        if acc is None:
+            return part
         if self.p > 2:
-            # the int32 difference wraps as it is formed, but lies in [0, order - 1)
-            lt = np.asarray(np.subtract(power, quot, dtype=np.int32))
-        else:
-            power -= quot
-            lt = power
-        del power, quot  # for odd p both go before the sum with an array c is allocated
-        if lc.ndim == 0:
-            if x_zero is not None:
-                np.copyto(lt, -1, where=x_zero)
-            return lt
+            return self._add_logs(acc, part)
+        shape = np.broadcast_shapes(acc.shape, part.shape)
+        if acc.shape != shape:
+            acc, part = part, acc
+        if acc.shape == shape:
+            acc ^= part
+            return acc
+        return acc ^ part
+
+    def _reduced(self, power):
+        """The int64 array power reduced mod order - 1 by floor division (% is
+        no fast path): in place for p = 2, the gather's index type, else as a
+        new int32 array for the Zech table, written by the last subtraction."""
+        quot = power // (self.order - 1)
+        quot *= self.order - 1
+        if self.p > 2:
+            return np.asarray(np.subtract(power, quot, dtype=np.int32))
+        power -= quot
+        return power
+
+    def _stack_sum(self, lx, stack, x_zero):
+        """The sum of the terms (m mod (order - 1), log c) of `stack`, m > 0,
+        at lx = log x: their logs m * log x + log c as one (terms, *shape)
+        array, reduced in one pass, -1 where x = 0; then for p = 2 one
+        antilog gather and one XOR reduction, for odd p a pairwise Zech tree
+        of about log2(terms) _add_logs calls."""
+        # a lone term takes no stacking axis
+        ms, lcs = stack[0] if len(stack) == 1 else np.array(stack, dtype=np.int64).T.reshape((2, -1) + (1,) * lx.ndim)
+        # int64: the product can pass 2^31; asarray keeps a lone x writable in place
+        power = np.asarray(np.multiply(lx, ms, dtype=np.int64))
+        power += lcs
+        lt = self._reduced(power)
+        if x_zero is not None:
+            np.copyto(lt, -1, where=x_zero)
+        if len(stack) == 1:
+            return lt if self.p > 2 else self._exp[lt]
+        if self.p == 2:
+            return np.bitwise_xor.reduce(self._exp[lt], axis=0)
+        while len(lt) > 1:
+            half = len(lt) // 2
+            s = self._add_logs(lt[:half], lt[half : 2 * half])
+            lt = s if len(lt) % 2 == 0 else np.concatenate((s, lt[-1:]))
+        return lt[0]
+
+    def _array_term(self, lx, m, lc, x_zero):
+        """c * x^m at lx = log x from the logs lc of c, an array, or a scalar
+        for m = 0, held as _sum_at_logs holds the sum: logs for odd p, whose
+        sums run on the int32 Zech table, and antilogs for p = 2 (-1 reads
+        the trailing 0).
+
+        The logs c broadcast past x, so they are added after the reduction.
+        For odd p they are added less order - 1, and order - 1 goes back on
+        where the sum is negative; for p = 2 the sum, below 2(order - 1), is
+        left as it is, since it only indexes the doubled antilog table."""
+        q1 = self.order - 1
+        if not m:
+            return lc if self.p > 2 else self._exp[lc]
+        # int64: the product can pass 2^31; asarray keeps a lone x writable in place
+        lt = self._reduced(np.asarray(np.multiply(lx, m % q1, dtype=np.int64)))
         # a zero factor becomes a log of -3(order - 1): any sum with it stays
         # negative past _wrap_up
         zero = -3 * q1
@@ -691,7 +720,7 @@ class FieldCtx:
             lt = lt + (np.where(lc < 0, zero, lc) if c_zero else lc)
         if x_zero is not None or c_zero:
             np.maximum(lt, -1, out=lt)
-        return lt
+        return lt if self.p > 2 else self._exp[lt]
 
     # -- elements -------------------------------------------------------------
 

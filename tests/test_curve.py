@@ -88,6 +88,41 @@ def test_build_rejects_nonzero_ct():
         cv.build_scatter_curve(lp.QPoly(f8, [1, 1]), 0)
 
 
+def test_closed_form_curve_matches_division():
+    # the quotient is written down; the numerator divided by X^q Y - X Y^q
+    # gives the same terms: p = 2, 3, 5, 7, e > 1, explicit moduli (X^4 + X^3
+    # + 1, X^3 + 2X + 2), t > 0 and indices j < t, and f of up to 2n
+    # coefficients, whose indices past n fold
+    rng = random.Random(29)
+    fields = (
+        gf.make_field(2, 1, 4), gf.make_field(2, 2, 3), gf.make_field(3, 1, 3), gf.make_field(3, 2, 2),
+        gf.make_field(5, 1, 3), gf.make_field(7, 1, 2), gf.make_field(2, 1, 4, modulus=(1, 0, 0, 1, 1)),
+        gf.make_field(3, 1, 3, modulus=(2, 2, 0, 1)),
+    )
+    pairs = 0
+    for ctx in fields:
+        n = ctx.d
+        den = B(ctx, {(ctx.q, 1): 1, (1, ctx.q): ctx.neg_i(1)})
+        for _ in range(40):
+            t = rng.randrange(2 * n)
+            encs = [0 if j % n == t % n or rng.random() < 0.3 else rng.randrange(ctx.order)
+                    for j in range(rng.randrange(1, 2 * n + 1))]
+            f = lp.QPoly.from_encs(ctx, encs)
+            if f.reduce_indices().is_zero():
+                continue
+            want = cv.exact_divide(cv.scatter_curve_numerator(f, t), den)
+            assert cv.build_scatter_curve(f, t) == want, (ctx, encs, t)
+            pairs += 1
+    assert pairs > 200
+    # both refusals keep their messages: a coefficient at index t, after
+    # folding, and an f that folds to 0
+    f9 = gf.make_field(3, 1, 2)
+    with pytest.raises(gf.FieldError, match="^coefficient at index 3 must be zero$"):
+        cv.build_scatter_curve(lp.QPoly.from_encs(f9, [1, 0, 0, 1]), 3)
+    with pytest.raises(gf.FieldError, match="^numerator vanished: f is supported only at index t$"):
+        cv.build_scatter_curve(lp.QPoly.from_encs(f9, [1, 0, f9.neg_i(1)]), 1)
+
+
 def test_points_at_infinity_examples():
     f2 = gf.make_field(2, 1, 1)
     conic = B(f2, {(2, 0): 1, (1, 1): 1, (0, 2): 1})

@@ -742,6 +742,94 @@ def test_power_sums_on_reduced_logs():
         assert [[_antilog_slow(ctx, k) for k in r] for r in logs.tolist()] == want
 
 
+def _slow_log_layout(ctx):
+    """(rows, logs): the digit rows of gen^i, i < order - 1, from repeated
+    _mul_slow, and the log of each encoding, -1 at 0."""
+    powers = [1]
+    for _ in range(ctx.order - 2):
+        powers.append(ctx._mul_slow(powers[-1], ctx.mult_generator_enc))
+    logs = np.full(ctx.order, -1)
+    logs[powers] = np.arange(len(powers))
+    return np.array([ctx.digits(v) for v in powers]), logs
+
+
+def _digitwise_power_sum(ctx, layout, terms, ks):
+    """sum c * x^m at x = gen^k (k = -1 for x = 0) with c broadcasting
+    against ks: each term the digit row of gen^(m*k + log c), the rows added
+    digitwise mod p."""
+    rows, logs = layout
+    acc = np.zeros(np.shape(ks) + (ctx.N,), dtype=np.int64)
+    for m, c in terms:
+        lc = logs[np.asarray(c)]
+        live = (lc >= 0) & ((ks >= 0) | (m == 0))
+        acc = acc + rows[(m * ks + lc) % (ctx.order - 1)] * live[..., None]
+    return acc % ctx.p @ ctx.p ** np.arange(ctx.N)
+
+
+def test_stacked_power_sums_match_slow_reference():
+    # the terms c * x^m with m > 0 and a scalar c sum in stacks of
+    # _BUILD_BLOCK // points: over every point of F_(2^12) and F_(3^8) (4,096
+    # and 6,561) nine such terms take three and five stacks; the smaller
+    # fields take one stack of nine, an odd count at three levels of the
+    # Zech tree
+    rng = random.Random(131)
+    fields = (gf.make_field(2, 2, 6), gf.make_field(3, 2, 4), gf.make_field(2, 2, 3),
+              gf.make_field(2, 1, 4, modulus=(1, 0, 0, 1, 1))) + REDUCED_LOG_FIELDS()
+    for ctx in fields:
+        q1 = ctx.order - 1
+        layout = _slow_log_layout(ctx)
+        ks = np.arange(-1, q1)  # k = -1 stands for x = 0
+        c = lambda: rng.randrange(1, ctx.order)
+        neg = lambda v: _digitwise(ctx, 0, v, -1)
+        u, w = c(), c()
+        cases = [
+            [(rng.randrange(1, 3 * ctx.order), c()) for _ in range(9)] + [(0, c())],
+            # u + (-u) and w + (-w) cancel at every x in the tree's first
+            # level, their sum again in the second, with an odd count of terms
+            [(3, u), (ctx.q, w), (3, neg(u)), (ctx.q, neg(w)), (1, c())],
+            [(3, u), (3, neg(u)), (ctx.q, c()), (2, c()), (0, c())],
+            # x = 0 with m = 0 and with multiples of order - 1
+            [(0, u), (q1, c()), (2 * q1, neg(u))],
+            [(1, 0), (ctx.q, 0), (0, 0)],
+        ]
+        for terms in cases:
+            want = _digitwise_power_sum(ctx, layout, terms, ks).tolist()
+            assert ctx.power_sum_at_logs(terms, ks).tolist() == want
+            logs = ctx.log_power_sum_at_logs(terms, ks)
+            assert logs.dtype == np.int32 and ((-1 <= logs) & (logs < q1)).all()
+            assert np.where(logs < 0, 0, layout[0][logs] @ ctx.p ** np.arange(ctx.N)).tolist() == want
+            for k in (-1, 0, q1 - 1):  # a lone x
+                out = ctx.power_sum_at_logs(terms, np.int64(k))
+                assert out.ndim == 0 and int(out) == want[k + 1]
+        # scalar and array coefficients in one call: a column of points
+        # against rows of coefficients that hold 0
+        row = np.array([0, c(), c(), 1])
+        terms = [(1, row), (3, c()), (ctx.q, c()), (0, row[::-1].copy()), (2, c()), (q1, 0), (5, np.zeros(4, dtype=np.int64))]
+        col = ks[:, None]
+        want = _digitwise_power_sum(ctx, layout, terms, col).tolist()
+        assert ctx.power_sum_at_logs(terms, col).tolist() == want
+
+
+@pytest.mark.parametrize("field", [(2, 1, 16), (3, 1, 10)], ids=lambda f: "%d^%d^%d" % f)
+def test_power_sum_peak_does_not_grow_with_terms(field):
+    # over more points than _BUILD_BLOCK the scalar terms go one at a time:
+    # sixteen peak where two do
+    ctx = gf.make_field(*field)
+    xs = np.arange(ctx.order)
+    rng = random.Random(17)
+    terms = [(rng.randrange(1, ctx.order), rng.randrange(1, ctx.order)) for _ in range(16)]
+    ctx.power_sum(terms, xs)  # builds the tables outside the trace
+    peaks = []
+    for count in (2, 16):
+        tracemalloc.start()
+        try:
+            ctx.power_sum(terms[:count], xs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 4096
+
+
 def test_table_build_peak_is_the_tables():
     # the F_(3^12) build allocates its tables and one block's temporaries at
     # a time: no order-sized temporary outlives the one-shot log fill, whose
