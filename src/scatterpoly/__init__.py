@@ -17,12 +17,13 @@ from .gf import (
     trace_rel,
 )
 from .linpoly import NormalizedInstance, QPoly, as_matrix, compose_mod, evaluate, kernel_dim, normalize
-from .rankcode import CodeSpec, MRDReport, min_distance, scattered_mrd_bridge
+from .rankcode import CodeSpec, MRDReport, min_distance, min_distances, scattered_mrd_bridge
 from .scattered import (
     LinearSetReport,
     ScanEntry,
     ScatterVerdict,
     find_many_roots_completion,
+    find_many_roots_completions,
     inequality_case_table,
     irreducible_component_inequality,
     is_scattered,
@@ -32,6 +33,7 @@ from .scattered import (
     scan_extensions,
     scatter_test,
     scatter_test_kernel,
+    scattered_many,
 )
 from .curve import (
     AffineCount,

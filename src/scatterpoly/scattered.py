@@ -73,6 +73,17 @@ other: their independent check is test_kernel_dims_are_fiber_logs, which
 evaluates f(x)/x^(q^t) by evaluate-then-divide at every nonzero x and
 compares log_q of each fiber plus 1 with the sweep's dimension at every c.
 
+Both routes also take a stack of pairs over one field with one t, for the
+campaigns' thousands of pairs over fields of 8 to 243 elements, where the
+set-up of a call outweighs its arithmetic.  The fiber scan of a stack
+(scattered_many, verdicts without witnesses) takes the trivial group, on
+fields of fewer than _ORBIT_SCAN_MIN lines, with (P, 1) coefficient columns:
+one power sum gives a (P, M) array of ratios.  The kernel sweep ranks every
+scalar on fields of at most _SWEEP_ALL_MAX elements, with -f(b_i) per pair
+and no stabilizer, for a single pair and a stack alike; above that order a
+stack is swept one pair at a time, modulo its symmetries.  A stack of one
+keeps scalar coefficients, so scatter_test runs the scan of a stack of one.
+
 Also here: linear-set weight spectra, extension-field scans, the decision
 predicates for guaranteed non-scatteredness, the pair-product image, and the
 completion search (a re-indexed sweep) behind the degree-q^2 facts.
@@ -88,7 +99,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import gf
-from .gf import CeilingExceeded, FFElt, FieldCtx, FieldError, check_ceiling
+from .gf import CeilingExceeded, ContextMismatch, FFElt, FieldCtx, FieldError, check_ceiling
 from .linpoly import NormalizedInstance, QPoly, evaluate_vec
 
 REASON_KERNEL = "kernel dimension exceeds 1"
@@ -99,11 +110,18 @@ _INLINE_CROSSCHECK_MAX = 1 << 12
 _CHUNK = 1 << 13  # scalars per batched elimination
 _FIRST_CHUNK = 1 << 6  # scalars in the first batch of a sweep; batches double up to _CHUNK
 _SCAN_BLOCK = 1 << 16  # conjugate logs per block of the line scan, N/r per leader
+_STACK_KEYS = 1 << 14  # keys per stacked line scan, pairs times lines: its int64 temporaries stay in L2
 _WALK_BLOCK = 1 << 6  # encodings in the first block of the witness walk
 _KEY_BITS = 5  # a line orbit size less 1, at most N - 1 <= 25, below the class in a scan key
 # the line scan takes the group <tau> only when it saves this many lines:
 # below that the orbit bookkeeping costs more than the lines it saves
 _ORBIT_SCAN_MIN = 1 << 14
+# the kernel sweep ranks every scalar, with no stabilizer, orbit leaders or
+# doubling tables, on fields of at most this order: there even a monomial,
+# whose orbits are fewest, costs less swept in full than its symmetry
+# set-up (at 625 and 729 elements it took 1.2-1.4x as long), and a stack
+# shares one pass
+_SWEEP_ALL_MAX = 1 << 9
 _NO_POWERS = np.ones(1, dtype=np.int64)  # the trivial group: P^0 alone
 
 
@@ -127,11 +145,26 @@ class ScanEntry:
     skipped: str | None = None
 
 
-def _ratio_terms(f: QPoly, t: int):
-    """The ratio f(x)/x^(q^t) on nonzero x as power-sum terms: f_j x^(q^j - q^t),
-    exponents reduced mod (order - 1), so no division pass is needed."""
-    q, q1 = f.ctx.q, f.ctx.order - 1
-    return [((pow(q, j, q1) - pow(q, t, q1)) % q1, c) for j, c in enumerate(f.encs) if c]
+def _stack_terms(fs, exponent):
+    """The power-sum terms (exponent(j), c_j) of a stack of polynomials
+    sum_j c_j X^(q^j) over one field.  A stack of one keeps its nonzero
+    scalar coefficients; a larger one takes, per index j that some member
+    uses, the column of its c_j, shape (len(fs), 1) and 0 where a member has
+    no term j, so a sum over points of shape S comes out (len(fs), *S)."""
+    if len(fs) == 1:
+        return [(exponent(j), c) for j, c in enumerate(fs[0].encs) if c]
+    width = max(len(f.encs) for f in fs)
+    cols = np.array([f.encs + (0,) * (width - len(f.encs)) for f in fs], dtype=np.int64)
+    return [(exponent(j), cols[:, j : j + 1]) for j in range(width) if cols[:, j].any()]
+
+
+def _ratio_terms(fs, t: int):
+    """The ratios f(x)/x^(q^t) of a stack of pairs on nonzero x as
+    power-sum terms f_j x^(q^j - q^t), exponents reduced mod (order - 1), so
+    no division pass is needed (see _stack_terms)."""
+    ctx = fs[0].ctx
+    q, q1 = ctx.q, ctx.order - 1
+    return _stack_terms(fs, lambda j: (pow(q, j, q1) - pow(q, t, q1)) % q1)
 
 
 class _LineScan(NamedTuple):
@@ -148,8 +181,8 @@ class _LineScan(NamedTuple):
     leaders: np.ndarray | None  # the orbit leaders among the k < n_s (None: every k)
     sizes: np.ndarray | int  # their orbit sizes mod n_s
     bits: int  # _KEY_BITS, or 0 when tau is trivial and every orbit has size 1
-    keys: np.ndarray  # per leader: its class << bits | its orbit size less 1
-    ranked: np.ndarray  # the keys ascending
+    keys: np.ndarray  # per leader: its class << bits | its orbit size less 1; one row per pair of a stack
+    ranked: np.ndarray  # the keys ascending along the last axis
 
     @property
     def trivial(self) -> bool:
@@ -189,9 +222,11 @@ def _ratio_classes(lr, powers, m: int):
     return least
 
 
-def _line_scan(f: QPoly, t: int, ceiling=None) -> _LineScan:
-    """The fiber scan over one line per class of the group generated by
-    tau(x) = x^P and the scale translations x -> lambda*x.
+def _line_scan(fs, t: int, ceiling=None) -> _LineScan:
+    """The fiber scan of a stack of pairs (f, t) over one field, over one
+    line per class of the group generated by tau(x) = x^P and the scale
+    translations x -> lambda*x.  A stack of more than one pair takes the
+    trivial group, on fields of fewer than _ORBIT_SCAN_MIN lines only.
 
     With (mu, r) = _frobenius_symmetry(f) and P = p^r, the ratio R' = R/mu
     has R'(tau x) = tau(R'(x)), and tau maps line k to line P*k mod M.  With
@@ -212,12 +247,16 @@ def _line_scan(f: QPoly, t: int, ceiling=None) -> _LineScan:
     line; for r = N and n_s = M the group is trivial: every line is a
     leader and its own class.  The scan takes the trivial group as well when
     the classes would save fewer than _ORBIT_SCAN_MIN lines, and then
-    computes no symmetry at all."""
-    ctx = f.ctx
+    computes no symmetry at all.  Under the trivial group the terms of a
+    stack of P > 1 pairs have (P, 1) coefficient columns (_ratio_terms), so
+    one power sum over the M lines gives a (P, M) array of keys, and a pair
+    is scattered iff its sorted row has no repeated key."""
+    ctx = fs[0].ctx
     check_ceiling(ctx.order, ceiling)
     q1, M = ctx.order - 1, _lines(ctx)
     mu, r, n_s, shift = 1, ctx.N, M, 0  # the trivial group
     if M >= _ORBIT_SCAN_MIN:
+        (f,) = fs  # a stack is scanned on fields of fewer lines only
         mu, r = _frobenius_symmetry(f)
         n_s, shift = _scale_group(f, t)
         if M - n_s * r // ctx.N < _ORBIT_SCAN_MIN:  # the classes leave about n_s/(N/r) leaders
@@ -226,7 +265,7 @@ def _line_scan(f: QPoly, t: int, ceiling=None) -> _LineScan:
     step = n_s * shift % q1
     m = math.gcd(q1, step)
     powers = np.array([pow(P, j, q1) for j in range(n_orb)], dtype=np.int64) if n_orb > 1 else _NO_POWERS
-    terms = _ratio_terms(f, t)
+    terms = _ratio_terms(fs, t)
     if mu != 1:
         imu = ctx.inv_i(mu)
         terms = [(e, ctx.mul_i(c, imu)) for e, c in terms]
@@ -238,7 +277,7 @@ def _line_scan(f: QPoly, t: int, ceiling=None) -> _LineScan:
     leaders, sizes = ctx.line_orbits(r, n_s) if n_orb > 1 and n_s > 1 else (None, 1)
     count = n_s if leaders is None else len(leaders)
     bits = _KEY_BITS if n_orb > 1 else 0
-    keys = np.empty(count, dtype=np.int32)
+    keys = np.empty((len(fs), count) if len(fs) > 1 else count, dtype=np.int32)
     block = max(1, _SCAN_BLOCK // n_orb)
     for lo in range(0, count, block):
         hi = min(lo + block, count)
@@ -250,8 +289,9 @@ def _line_scan(f: QPoly, t: int, ceiling=None) -> _LineScan:
         if n_orb > 1:
             least <<= bits
             least |= size - 1
-        keys[lo:hi] = least  # below 2^31
-    return _LineScan(ctx, mu, terms, evaluate, P, powers, n_s, step, m, leaders, sizes, bits, keys, np.sort(keys))
+        keys[..., lo:hi] = least  # below 2^31
+    return _LineScan(ctx, mu, terms, evaluate, P, powers, n_s, step, m, leaders, sizes, bits, keys,
+                     np.sort(keys, axis=-1))
 
 
 def _classes(scan: _LineScan):
@@ -278,7 +318,32 @@ def scatter_test(f: QPoly, t: int, ceiling=None) -> ScatterVerdict:
     """
     if f.is_zero():
         raise FieldError("scatteredness is undefined for the zero map")
-    return _fiber_verdict(f, _line_scan(f, t, ceiling))
+    return _fiber_verdict(f, _line_scan([f], t, ceiling))
+
+
+def scattered_many(fs, t: int, ceiling=None) -> list[bool]:
+    """scatter_test(f, t).scattered for each f of a stack over one field,
+    with no witnesses.
+
+    _line_scan checks the ceiling before any table or stack is built.  On
+    fields of fewer than _ORBIT_SCAN_MIN lines every pair takes the trivial
+    group, and the stack is scanned by _line_scan in pieces of
+    _STACK_KEYS // M pairs, one power sum each; on larger fields each pair
+    is scanned alone, modulo its own symmetries."""
+    fs = list(fs)
+    if not fs:
+        return []
+    ctx = fs[0].ctx
+    if any(f.ctx is not ctx and f.ctx != ctx for f in fs):
+        raise ContextMismatch("a stack of pairs lies over one field")
+    if any(f.is_zero() for f in fs):
+        raise FieldError("scatteredness is undefined for the zero map")
+    M = _lines(ctx)
+    size = max(1, _STACK_KEYS // M) if M < _ORBIT_SCAN_MIN else 1
+    out: list[bool] = []
+    for lo in range(0, len(fs), size):
+        out += np.atleast_1d(_scattered(_line_scan(fs[lo : lo + size], t, ceiling))).tolist()
+    return out
 
 
 def scatter_report(f: QPoly, t: int, ceiling=None) -> tuple[ScatterVerdict, LinearSetReport]:
@@ -286,16 +351,26 @@ def scatter_report(f: QPoly, t: int, ceiling=None) -> tuple[ScatterVerdict, Line
     line scan."""
     if f.is_zero():
         raise FieldError("scatteredness is undefined for the zero map")
-    scan = _line_scan(f, t, ceiling)
+    scan = _line_scan([f], t, ceiling)
     classes = _classes(scan)
     return _fiber_verdict(f, scan, classes), _weight_spectrum(f.ctx, classes)
 
 
+def _scattered(scan: _LineScan, classes=None):
+    """Whether the pairs of the class scan are scattered: iff every class
+    has one line per ratio, which under the trivial group is read off the
+    ranked keys with no class table (no key repeats in a row), one verdict
+    per row; classes is _classes(scan) when the caller has it already."""
+    if classes is None and scan.trivial:
+        return (scan.ranked[..., 1:] != scan.ranked[..., :-1]).all(axis=-1)
+    _, lines, values = _classes(scan) if classes is None else classes
+    return (lines == values).all()
+
+
 def _fiber_verdict(f: QPoly, scan: _LineScan, classes=None) -> ScatterVerdict:
-    """The verdict from the class scan, with the first witness in canonical
-    order; classes is _classes(scan) when the caller has it already.  The
-    pair is scattered iff every class has one line per ratio, which under
-    the trivial group is read off the ranked keys with no class table.
+    """The verdict from the class scan of the one pair (f, t) (_scattered),
+    with the first witness in canonical order; classes is _classes(scan)
+    when the caller has it already.
     x is the least encoding whose ratio lies on two lines or more:
     encodings are walked in blocks that double from _WALK_BLOCK, and the
     walk stops at the first block holding one.  Its mates are the points of
@@ -304,13 +379,7 @@ def _fiber_verdict(f: QPoly, scan: _LineScan, classes=None) -> ScatterVerdict:
     its orbit size, never by listing the class: the lines P^j*k + i*n_s
     carry the log P^j*log R'(k) + i*step, which is the log of R'(x) for the
     i that solve one linear congruence mod order - 1."""
-    if classes is None and scan.trivial:
-        # the pair is scattered iff no two lines share a ratio
-        scattered = (scan.ranked[1:] != scan.ranked[:-1]).all()
-    else:
-        _, lines, values = _classes(scan) if classes is None else classes
-        scattered = (lines == values).all()
-    if scattered:
+    if _scattered(scan, classes):
         return ScatterVerdict(True, None)
     ctx, M = f.ctx, _lines(f.ctx)
     start, size = 1, _WALK_BLOCK
@@ -528,30 +597,36 @@ def _rank_columns(ctx: FieldCtx, enc: np.ndarray) -> np.ndarray:
     return _batch_rank_modp(mats, inv)
 
 
-def _sweep_ranker(f: QPoly, t: int):
-    """The rank function of the kernel sweep of (f, t): it maps a batch of
-    scalars c to the F_p-ranks of the maps c*X^(q^t) - f.  On the power
-    basis b_i = g^i (encoded p^i), column i of the matrix of c is the
-    encoding of c*h_i - f(b_i), h_i = b_i^(q^t), ranked by _rank_columns.
+def _sweep_ranker(fs, t: int, every: bool):
+    """The rank function of the kernel sweep of a stack of pairs (f, t) over
+    one field: it maps a batch of scalars c to the F_p-ranks of the maps
+    c*X^(q^t) - f, one row per pair.  On the power basis b_i = g^i (encoded
+    p^i), column i of the matrix of c is the encoding of c*h_i - f(b_i),
+    h_i = b_i^(q^t), and -f(b_i) is one power sum per stack (_stack_terms).
 
-    For p = 2 and p = 3 the packed rows are linear in the base-p digits of
-    c: with c = v + p^k w, k = ceil(N/2), row i is (v*h_i - f(b_i)) +
-    (p^k w)*h_i.  Both terms are looked up in tables of p^k and p^(N-k)
+    For p > 3, and for every p when `every` (the small-field rule of
+    _kernel_dim_chunks), the columns are the power sum c*h_i - f(b_i) over
+    the batch, with -f(b_i) given per pair, ranked by _rank_columns.
+    Otherwise, for p = 2 and p = 3 and a single pair, the packed rows are
+    linear in the base-p digits of c: with c = v + p^k w, k = ceil(N/2), row
+    i is (v*h_i - f(b_i)) + (p^k w)*h_i.  Both terms are looked up in tables of p^k and p^(N-k)
     entries, built here once per sweep by F_p-linear doubling: with E_j the
     packed rows g^j*h_i, a table over the digits below j becomes
     [tab, tab + E_j, tab + 2E_j] over those up to j (the low one starts from
     -f(b_i)), and the terms are added digitwise (XOR for p = 2)."""
-    ctx = f.ctx
+    ctx = fs[0].ctx
     p, n = ctx.p, ctx.N
-    b = (p ** np.arange(n, dtype=np.int64))[:, None]
-    h = ctx.frob_vec(b, t)
-    neg_fb = ctx.power_sum([(1, p - 1)], evaluate_vec(f, b))  # -f(b)
-    if p > 3:
-        return lambda cs: _rank_columns(ctx, ctx.power_sum([(1, h), (0, neg_fb)], cs))
+    b = p ** np.arange(n, dtype=np.int64)
+    h = ctx.frob_vec(b[:, None], t)
+    fb = ctx.power_sum(_stack_terms(fs, lambda j: ctx.q ** j), b)  # f(b_i), one row per pair of a stack
+    neg_fb = np.reshape(ctx.power_sum([(1, p - 1)], fb).T, (n, -1))  # [i, pair]: -f(b_i)
+    if p > 3 or every:
+        terms = [(1, h[:, :, None]), (0, neg_fb[:, :, None])]
+        return lambda cs: _rank_columns(ctx, ctx.power_sum(terms, cs).reshape(n, -1)).reshape(len(fs), -1)
     k = (n + 1) // 2
     # column j < N: the rows that digit j of c adds once, g^j * h_i over i;
     # column N: the rows -f(b_i) that the low table starts from
-    rows = _pack(ctx, np.concatenate((ctx.power_sum([(1, h)], b.T), neg_fb), axis=1))
+    rows = _pack(ctx, np.concatenate((ctx.power_sum([(1, h)], b), neg_fb), axis=1))
 
     def doubled(tab, js):
         """tab extended by each digit j of js in turn: [tab, tab + E_j, tab + 2E_j]."""
@@ -577,7 +652,7 @@ def _sweep_ranker(f: QPoly, t: int):
             x[0] ^= y[0]
         else:
             _f3_add_to(*x, *y, np.empty_like(x[0]))
-        return _rank_planes(x, n)
+        return _rank_planes(x, n)[None]
     return rank_packed
 
 
@@ -730,24 +805,52 @@ class _ScalarOrbits(NamedTuple):
         return self.encodings(np.where(ls[:, None] < 0, -1, images))
 
 
-def _kernel_dim_chunks(f: QPoly, t: int, ceiling):
-    """(orbits, batches): the _ScalarOrbits of (f, t) and, lazily, the kernel
-    dimensions of c*X^(q^t) - f at the leaders, (ls, dims) per batch.  The
-    ceiling is checked at the call, and each batch is ranked as it is drawn."""
-    ctx = f.ctx
+def _kernel_dim_chunks(fs, t: int, ceiling):
+    """(orbits, batches) for a stack of pairs (f, t) over one field: the
+    _ScalarOrbits of the stack and, lazily, the kernel dimensions of
+    c*X^(q^t) - f at the leaders, (ls, dims) per batch, dims holding one row
+    per pair.  The ceiling is checked at the call, before any table is
+    built, and each batch is ranked as it is drawn.
+
+    The rule is chosen from the field order alone.  On fields of at most
+    _SWEEP_ALL_MAX elements every scalar is its own class (the identity map,
+    mod order - 1) and one batch ranks them all, l = -1 (c = 0) first, by the
+    power sum of _sweep_ranker with -f(b_i) per pair: no stabilizer, no
+    orbit leaders, no doubling tables, which there cost more than the
+    scalars they save.  Above it the stack is a single pair, swept modulo
+    its semilinear stabilizer, one leader per orbit.  _sweep_stacks cuts a
+    stack into the pieces this takes."""
+    ctx = fs[0].ctx
     check_ceiling(ctx.order, ceiling)
-    orbits = _ScalarOrbits(ctx, next((v for v in f.encs if v), 1), *_semilinear_stabilizer(f, t))
-    rank = _sweep_ranker(f, t)
-    return orbits, ((ls, (ctx.N - rank(orbits.encodings(ls))) // ctx.e) for ls in orbits.leaders())
+    every = ctx.order <= _SWEEP_ALL_MAX
+    rank = _sweep_ranker(fs, t, every)
+    if every:
+        q1 = ctx.order - 1
+        orbits = _ScalarOrbits(ctx, 1, ctx.p, 0, 1, q1)
+        leaders = [np.arange(-1, q1)]
+    else:
+        (f,) = fs
+        orbits = _ScalarOrbits(ctx, next((v for v in f.encs if v), 1), *_semilinear_stabilizer(f, t))
+        leaders = orbits.leaders()
+    return orbits, ((ls, (ctx.N - rank(orbits.encodings(ls))) // ctx.e) for ls in leaders)
+
+
+def _sweep_stacks(fs):
+    """The stack fs in the pieces that _kernel_dim_chunks sweeps at once:
+    _CHUNK // order pairs on fields of at most _SWEEP_ALL_MAX elements, so a
+    batch ranks at most _CHUNK matrices, and one pair on larger fields."""
+    order = fs[0].ctx.order if fs else 1
+    size = max(1, _CHUNK // order) if order <= _SWEEP_ALL_MAX else 1
+    return [fs[lo : lo + size] for lo in range(0, len(fs), size)]
 
 
 def kernel_dims_per_scalar(f: QPoly, t: int, ceiling=None) -> np.ndarray:
     """F_q-dimension of ker(c*X^(q^t) - f) for every scalar c, indexed by
     encoding (dim_Fp = e * dim_Fq): the tests' oracle for the streamed sweep,
     which ranks the class leaders, and each member copies its leader's."""
-    orbits, batches = _kernel_dim_chunks(f, t, ceiling)  # checks the ceiling before dims exists
+    orbits, batches = _kernel_dim_chunks([f], t, ceiling)  # checks the ceiling before dims exists
     dims = np.empty(f.ctx.order, dtype=np.int64)
-    for ls, ds in batches:
+    for ls, (ds,) in batches:
         dims[orbits.members(ls)] = ds[:, None]
     return dims
 
@@ -758,7 +861,7 @@ def scatter_test_kernel(f: QPoly, t: int, ceiling=None) -> bool:
     batch holding an offending one."""
     if f.is_zero():
         raise FieldError("scatteredness is undefined for the zero map")
-    return not any((dims > 1).any() for _, dims in _kernel_dim_chunks(f, t, ceiling)[1])
+    return not any((dims > 1).any() for _, dims in _kernel_dim_chunks([f], t, ceiling)[1])
 
 
 def is_scattered(inst: NormalizedInstance, ceiling=None) -> ScatterVerdict:
@@ -789,7 +892,7 @@ def linear_set_report_raw(f: QPoly, t: int, ceiling=None) -> LinearSetReport:
     """
     if f.is_zero():
         raise FieldError("the zero map defines no linear set of full rank")
-    return _weight_spectrum(f.ctx, _classes(_line_scan(f, t, ceiling)))
+    return _weight_spectrum(f.ctx, _classes(_line_scan([f], t, ceiling)))
 
 
 def _weight_spectrum(ctx: FieldCtx, classes) -> LinearSetReport:
@@ -942,11 +1045,32 @@ def find_many_roots_completion(b: FFElt, ceiling=None) -> FFElt | None:
     """First a (canonical order) making X^(q^2) + a*X^q + b*X have a kernel of
     dimension exactly 2.  Requires Norm(b) = 1; returns None if no a works,
     which would contradict the classification and is treated as a test
-    failure by callers.  The map is a*X^q - f with f = -b*X - X^(q^2), so one
-    kernel sweep answers every a: the least member of a class of dimension 2."""
-    ctx = b.ctx
-    if gf.norm_rel(b) != ctx.one:
+    failure by callers.  find_many_roots_completions of a stack of one."""
+    return find_many_roots_completions([b], ceiling)[0]
+
+
+def find_many_roots_completions(bs, ceiling=None) -> list[FFElt | None]:
+    """find_many_roots_completion of each b of a stack over one field.  The
+    map is a*X^q - f with f = -b*X - X^(q^2), so one kernel sweep answers
+    every a: the least member of a class of dimension 2.  The stack of those
+    f is swept in the pieces of _sweep_stacks, after the norms of every b
+    are checked."""
+    bs = list(bs)
+    if not bs:
+        return []
+    ctx = bs[0].ctx
+    if any(b.ctx is not ctx and b.ctx != ctx for b in bs):
+        raise ContextMismatch("a stack of coefficients lies over one field")
+    if any(gf.norm_rel(b) != ctx.one for b in bs):
         raise FieldError("precondition: the relative norm of b must be 1")
-    orbits, batches = _kernel_dim_chunks(QPoly(ctx, [-b, ctx.zero, -ctx.one]), 1, ceiling)
-    least = min((int(orbits.members(ls[ds == 2]).min(initial=ctx.order)) for ls, ds in batches), default=ctx.order)
-    return FFElt(ctx, least) if least < ctx.order else None
+    out: list[FFElt | None] = []
+    for stack in _sweep_stacks([QPoly(ctx, [-b, ctx.zero, -ctx.one]) for b in bs]):
+        orbits, batches = _kernel_dim_chunks(stack, 1, ceiling)
+        least = np.full(len(stack), ctx.order)
+        for ls, ds in batches:
+            hit = (ds == 2).any(axis=0)  # the leaders of dimension 2 for some f
+            members = orbits.members(ls[hit])  # (count, hits, shifts)
+            fat = np.where((ds[:, hit] == 2)[:, None, :, None], members, ctx.order)
+            np.minimum(least, fat.reshape(len(stack), -1).min(axis=1, initial=ctx.order), out=least)
+        out += [FFElt(ctx, int(v)) if v < ctx.order else None for v in least]
+    return out

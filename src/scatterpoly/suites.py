@@ -5,6 +5,21 @@ tallies it in a `SuiteResult`: the check count, the failure descriptions and
 the (f, t) pairs whose scatteredness was tested, which the acceptance tests
 cross-check with other routes.  Results are memoized per (name, seed,
 ceiling) since every campaign is deterministic.
+
+`monomial-law`, `family-13`, `corollary38` (its completions and its m = 1
+verdicts) and `bridge` (its verdicts and distances) test each (field, t)
+group of their pairs as one stack (`scattered.scattered_many`,
+`scattered.find_many_roots_completions`, `rankcode.min_distances`), groups
+in the order of their first pair; checks, failures and instances keep the
+order of the per-pair loop.  A stack checks its field against the ceiling
+before it builds its terms.  `family-13` and `corollary38` stack each
+field's pairs where that loop tested them; `monomial-law` and `bridge`
+stack every pair up front, which stops at the same field: the former makes
+no other call that can raise, and the first pair of the latter lies over
+its larger field.  So a ceiling stops a suite with the error line of the
+per-pair loop.  The curve counts of `bridge`, the extension scans of
+`corollary38` and `theorem34-soundness` (which tests only its few
+guaranteed verdicts, so a stack of all 200 pairs costs more) stay per pair.
 """
 
 from __future__ import annotations
@@ -44,19 +59,42 @@ class SuiteResult:
             self.failures.append(failure)
 
 
+def _stacked(items, key, run) -> list:
+    """run(group) for each group of the items with one key, in the order of
+    each group's first item, so the first group over the ceiling raises as
+    its first item would alone; the results in the order of the items.  The
+    keys hold id(ctx): make_field gives one context per field."""
+    groups: dict = {}
+    for i, item in enumerate(items):
+        groups.setdefault(key(item), []).append(i)
+    out = [None] * len(items)
+    for idx in groups.values():
+        for i, r in zip(idx, run([items[i] for i in idx])):
+            out[i] = r
+    return out
+
+
+def _verdicts(pairs, ceiling) -> list[bool]:
+    """scatter_test(f, t).scattered of each pair (f, t), one stack per
+    (field, t)."""
+    return _stacked(pairs, lambda ft: (id(ft[0].ctx), ft[1]),
+                    lambda grp: sc.scattered_many([f for f, _ in grp], grp[0][1], ceiling))
+
+
 def run_monomial_law(seed: int = 0, ceiling=None) -> SuiteResult:
     """X^(q^s) at index 0 is scattered over F_{q^n} exactly when gcd(s, n) = 1;
     q in {2, 3, 4}, n up to 6, every s."""
     res = SuiteResult("monomial-law")
+    cases = []
     for q, (p, e) in _QS:
         for n in range(2, 7):
             ctx = gf.make_field(p, e, n)
             for s in range(1, n):
-                f = QPoly.monomial(ctx, s)
-                res.instances.append((f, 0))
-                got = sc.scatter_test(f, 0, ceiling).scattered
-                want = math.gcd(s, n) == 1
-                res.check(got == want, f"q={q} n={n} s={s}: got {got}, want {want}")
+                res.instances.append((QPoly.monomial(ctx, s), 0))
+                cases.append((q, n, s))
+    for (q, n, s), got in zip(cases, _verdicts(res.instances, ceiling)):
+        want = math.gcd(s, n) == 1
+        res.check(got == want, f"q={q} n={n} s={s}: got {got}, want {want}")
     return res
 
 
@@ -72,6 +110,7 @@ def run_family_13(seed: int = 0, ceiling=None) -> SuiteResult:
     for q, (p, e) in _QS[:2]:
         for n in (4, 5):
             ctx = gf.make_field(p, e, n)
+            pairs, failures = [], []
             deltas = [0] + _norm_ne_one_encs(ctx)
             for s in [s for s in range(1, n) if math.gcd(s, n) == 1]:
                 j = (2 * s) % n
@@ -81,19 +120,18 @@ def run_family_13(seed: int = 0, ceiling=None) -> SuiteResult:
                     encs[0] = 1
                     if dv:
                         encs[j] = dv
-                    f_s = QPoly.from_encs(ctx, encs)
-                    res.instances.append((f_s, s))
-                    res.check(sc.scatter_test(f_s, s, ceiling).scattered,
-                              f"q={q} n={n} s={s} delta={dv}: index-{s} form not scattered")
+                    pairs.append((QPoly.from_encs(ctx, encs), s))
+                    failures.append(f"q={q} n={n} s={s} delta={dv}: index-{s} form not scattered")
                     # index-0 form (s != n - s here since gcd(s, n) = 1, n > 2)
                     encs0 = [0] * (max(s, n - s) + 1)
                     encs0[n - s] = 1
                     if dv:
                         encs0[s] = dv
-                    f_0 = QPoly.from_encs(ctx, encs0)
-                    res.instances.append((f_0, 0))
-                    res.check(sc.scatter_test(f_0, 0, ceiling).scattered,
-                              f"q={q} n={n} s={s} delta={dv}: index-0 form not scattered")
+                    pairs.append((QPoly.from_encs(ctx, encs0), 0))
+                    failures.append(f"q={q} n={n} s={s} delta={dv}: index-0 form not scattered")
+            res.instances += pairs
+            for failure, scattered in zip(failures, _verdicts(pairs, ceiling)):
+                res.check(scattered, failure)
     return res
 
 
@@ -122,18 +160,16 @@ def run_corollary38(seed: int = 0, ceiling=None) -> SuiteResult:
         for n in (3, 4):
             ctx = gf.make_field(p, e, n)
             one = ctx.one
-            for bv in range(1, ctx.order):
+            norm_one = [b for b in map(ctx.elem, range(1, ctx.order)) if gf.norm_rel(b) == one]
+            for b, a in zip(norm_one, sc.find_many_roots_completions(norm_one, ceiling)):
+                res.check(a is not None, f"q={q} n={n} b={b.val}: no completion with a q^2 kernel")
+                completions += a is not None
+            bvs = _norm_ne_one_encs(ctx)
+            fs = [QPoly(ctx, [FFElt(ctx, bv), ctx.zero, one]) for bv in bvs]
+            for bv, f, scattered in zip(bvs, fs, _verdicts([(f, 1) for f in fs], ceiling)):
                 b = FFElt(ctx, bv)
-                if gf.norm_rel(b) == one:
-                    found = sc.find_many_roots_completion(b, ceiling) is not None
-                    res.check(found, f"q={q} n={n} b={bv}: no completion with a q^2 kernel")
-                    completions += found
-            for bv in _norm_ne_one_encs(ctx):
-                b = FFElt(ctx, bv)
-                f = QPoly(ctx, [b, ctx.zero, one])
                 res.instances.append((f, 1))
-                res.check(sc.scatter_test(f, 1, ceiling).scattered,
-                          f"q={q} n={n} b={bv}: not scattered at m=1")
+                res.check(scattered, f"q={q} n={n} b={bv}: not scattered at m=1")
                 for entry in sc.scan_extensions(f, 1, _scan_horizon(q, n), ceiling):
                     if entry.verdict is None:
                         res.check(False, f"q={q} n={n} b={bv} m={entry.m}: skipped ({entry.skipped})")
@@ -264,12 +300,12 @@ def run_bridge(seed: int = 0, ceiling=None) -> SuiteResult:
     {3, 4}."""
     rng = random.Random(seed)
     res = SuiteResult("bridge")
-    for trial in range(200):
-        ctx = gf.make_field(2, 1, 3 if trial % 2 else 4)
-        spec = _random_codespec(rng, ctx)
-        res.instances.append((spec.f, spec.t))
-        scattered = sc.scatter_test(spec.f, spec.t, ceiling).scattered
-        dist = rk.min_distance(spec, ceiling).min_distance
+    specs = [_random_codespec(rng, gf.make_field(2, 1, 3 if trial % 2 else 4)) for trial in range(200)]
+    res.instances = [(spec.f, spec.t) for spec in specs]
+    verdicts = _verdicts(res.instances, ceiling)
+    reports = _stacked(specs, lambda spec: (id(spec.ctx), spec.t), lambda grp: rk.min_distances(grp, ceiling))
+    for trial, (spec, scattered, report) in enumerate(zip(specs, verdicts, reports)):
+        ctx, dist = spec.ctx, report.min_distance
         res.check(scattered == (dist == ctx.d - 1),
                   f"trial {trial}: code distance {dist} vs scattered {scattered}")
         hits = cv.count_affine(

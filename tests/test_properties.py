@@ -243,4 +243,6 @@ def test_sweep_ranks_match_digit_matrices(rnd):
     xqt = lp.QPoly.monomial(ctx, t)
     cols = [ctx.digits_vec(lp.evaluate_vec(xqt.scale(gf.FFElt(ctx, c)).sub(f), basis)) for c in cs]
     want = _modp_ranks(np.array(cols).transpose(0, 2, 1), p)  # (c, row, column)
-    assert sc._sweep_ranker(f, t)(np.array(cs, dtype=np.int64)).tolist() == want.tolist()
+    # the doubling tables, and the power sum that ranks every scalar on small fields
+    for every in (False, True):
+        assert sc._sweep_ranker([f], t, every)(np.array(cs, dtype=np.int64))[0].tolist() == want.tolist()

@@ -251,11 +251,14 @@ def test_orbit_reduced_sweep_matches_scalar_route(monkeypatch):
             semilinear += len(f.support()) > 1 and sc._semilinear_stabilizer(f, t)[2] > ctx.N // r
             cases.append((f, t, scalar_route_dims(f, t), sc.scatter_test(f, t).scattered))
     assert scaled >= 10 and semilinear >= 10
-    # 7-scalar batches and 5-log filter blocks make the leaders of one block
-    # straddle batches
-    for chunk, block in ((sc._CHUNK, gf._ORBIT_BLOCK), (7, 5)):
+    # the orbit sweep forced on these small fields, where 7-scalar batches
+    # and 5-log filter blocks make the leaders of one block straddle
+    # batches; then the default rule, which ranks every scalar of them
+    for chunk, block, sweep_all in ((sc._CHUNK, gf._ORBIT_BLOCK, 0), (7, 5, 0),
+                                    (sc._CHUNK, gf._ORBIT_BLOCK, sc._SWEEP_ALL_MAX)):
         monkeypatch.setattr(sc, "_CHUNK", chunk)
         monkeypatch.setattr(gf, "_ORBIT_BLOCK", block)
+        monkeypatch.setattr(sc, "_SWEEP_ALL_MAX", sweep_all)
         for f, t, dims, scattered in cases:
             assert sc.kernel_dims_per_scalar(f, t).tolist() == dims
             assert sc.scatter_test_kernel(f, t) == scattered
@@ -272,13 +275,14 @@ def test_orbit_reduced_sweep_matches_scalar_route(monkeypatch):
             assert hist == {dim: int(cnt) * (ctx.order - 1) for dim, cnt in enumerate(want) if cnt}
 
 
-def test_frobenius_symmetry():
+def test_frobenius_symmetry(monkeypatch):
     # X^q over F_((2^2)^3): r = 1, so an orbit is a whole x -> x^2 orbit of
-    # N = 6 scalars, not d = 3
+    # N = 6 scalars, not d = 3; the orbit sweep is forced on these small fields
+    monkeypatch.setattr(sc, "_SWEEP_ALL_MAX", 0)
     ctx = gf.make_field(2, 2, 3)
     assert sc._frobenius_symmetry(lp.QPoly.monomial(ctx, 1)) == (1, 1)
     g = ctx.mult_generator_enc
-    orbits = sc._kernel_dim_chunks(lp.QPoly.monomial(ctx, 1), 0, None)[0]
+    orbits = sc._kernel_dim_chunks([lp.QPoly.monomial(ctx, 1)], 0, None)[0]
     orbit = set(orbits.members(np.array([1]))[:, 0, 0].tolist())  # the images of g = gen^1
     assert orbit == {ctx.pow_i(g, 2 ** k) for k in range(ctx.N)} and len(orbit) == 6
     # b*X + X^(q^2) with b the generator of F_(3^4) inside F_(3^12): mu = b, r = 4
@@ -294,19 +298,20 @@ def test_frobenius_symmetry():
     # scale group is F_2^* (m = 63): 0, and on the logs mod 63 the 13 binary
     # necklaces of length 6 other than 111111
     f64 = gf.make_field(2, 1, 6)
-    orbits = sc._kernel_dim_chunks(lp.QPoly.from_encs(f64, [1, 1]), 0, None)[0]
+    orbits = sc._kernel_dim_chunks([lp.QPoly.from_encs(f64, [1, 1])], 0, None)[0]
     assert orbits.m == 63 and sum(len(ls) for ls in orbits.leaders()) == 14
     # X^q scales by all of F_(2^6)^* (m = 2^1 - 1): the scalars 0 and 1 lead
-    orbits = sc._kernel_dim_chunks(lp.QPoly.monomial(f64, 1), 0, None)[0]
+    orbits = sc._kernel_dim_chunks([lp.QPoly.monomial(f64, 1)], 0, None)[0]
     assert [ls.tolist() for ls in orbits.leaders()] == [[-1, 0]]
 
 
-def test_scale_modulus():
+def test_scale_modulus(monkeypatch):
     # the kernel dimension at c = mu*gen^l depends on l mod m only: checked
     # against the scalar route at every c; m is the gcd law for monomials,
     # gcd(q1, q1/(q^g - 1) * (q^j0 - q^t)) with g = gcd(d, j - j0 over the
     # support), so order - 1 when g = 1; the classes of the leaders hold
-    # every scalar once
+    # every scalar once (the orbit sweep forced on these small fields)
+    monkeypatch.setattr(sc, "_SWEEP_ALL_MAX", 0)
     rng = random.Random(59)
     for p, e, d, *modulus in ORBIT_FIELDS:
         ctx = gf.make_field(p, e, d, modulus=modulus[0] if modulus else None)
@@ -325,12 +330,12 @@ def test_scale_modulus():
             dims = scalar_route_dims(f, t)
             gm = ctx.pow_i(ctx.mult_generator_enc, m)
             assert all(dims[c] == dims[ctx.mul_i(c, gm)] for c in range(ctx.order))
-            orbits = sc._kernel_dim_chunks(f, t, None)[0]
+            orbits = sc._kernel_dim_chunks([f], t, None)[0]
             assert orbits.m == m
             assert sum(int(orbits.sizes(ls).sum()) for ls in orbits.leaders()) == ctx.order
 
 
-def test_semilinear_stabilizer():
+def test_semilinear_stabilizer(monkeypatch):
     # the solver against a brute force over every divisor j of N and every
     # lambda in F^*: j* is the least j with some lambda and kappa making
     # f_i^(p^j) = kappa*f_i*lambda^(q^i) on the support, and with mu the
@@ -338,7 +343,8 @@ def test_semilinear_stabilizer():
     # is mu*gen^(P*l + s) up to a multiple of m in the log for every such
     # lambda; the kernel dimension is the same at c and at its image through
     # the scalar route at every c, and the classes of the leaders hold every
-    # scalar once
+    # scalar once (the orbit sweep forced on these small fields)
+    monkeypatch.setattr(sc, "_SWEEP_ALL_MAX", 0)
     rng = random.Random(61)
     for p, e, d, *modulus in ORBIT_FIELDS:
         ctx = gf.make_field(p, e, d, modulus=modulus[0] if modulus else None)
@@ -365,7 +371,7 @@ def test_semilinear_stabilizer():
             dims = scalar_route_dims(f, t)
             image = [0] + [ctx.mul_i(mu, ctx.pow_i(gen, (P * (log(c) - log(mu)) + s) % q1)) for c in range(1, ctx.order)]
             assert all(dims[c] == dims[image[c]] for c in range(ctx.order))
-            orbits = sc._kernel_dim_chunks(f, t, None)[0]
+            orbits = sc._kernel_dim_chunks([f], t, None)[0]
             assert orbits == (ctx, mu, P, s, count, m)
             assert sum(int(orbits.sizes(ls).sum()) for ls in orbits.leaders()) == ctx.order
     # the worked case: b*X + X^(q^2), t = 1, b from F_(3^4) with norm not 1
@@ -423,7 +429,7 @@ def test_ratio_power_sum_matches_division():
             encs[-1] = encs[-1] or 1
             f = lp.QPoly.from_encs(ctx, encs)
             for t in range(2 * d + 1):
-                ratios = ctx.power_sum(sc._ratio_terms(f, t), np.arange(1, ctx.order, dtype=np.int64))
+                ratios = ctx.power_sum(sc._ratio_terms([f], t), np.arange(1, ctx.order, dtype=np.int64))
                 assert ratios.tolist() == _divided_ratios(f, t)[0].tolist()
 
 
@@ -603,7 +609,7 @@ def _check_class_scan(f, t):
         mp.setattr(sc, "_ORBIT_SCAN_MIN", 0)
         mp.setattr(sc, "_SCAN_BLOCK", 8)
         mp.setattr(sc, "_WALK_BLOCK", 2)
-        scan = sc._line_scan(f, t)
+        scan = sc._line_scan([f], t)
         verdict, rep = sc.scatter_report(f, t)
     classes, lines, values = sc._classes(scan)
     per_value = lines // values
@@ -723,14 +729,14 @@ def test_scale_classes_count_guard(monkeypatch):
         raise AssertionError("line_orbits called for a monomial")
 
     monkeypatch.setattr(gf.FieldCtx, "log_power_sum_at_logs", counted)
-    scan = sc._line_scan(lp.QPoly.from_encs(ext, [b, 0, 1]), 1)
+    scan = sc._line_scan([lp.QPoly.from_encs(ext, [b, 0, 1])], 1)
     assert (scan.n_s, len(scan.powers)) == ((ext.order - 1) // 8, 3)
     assert sum(evaluated) == len(scan.keys) == 22150
     monkeypatch.setattr(gf.FieldCtx, "line_orbits", refused)
     for ctx in (ext, gf.make_field(2, 1, 16)):
         for s in range(2 * ctx.d):
             evaluated.clear()
-            scan = sc._line_scan(lp.QPoly.monomial(ctx, s), 1)
+            scan = sc._line_scan([lp.QPoly.monomial(ctx, s)], 1)
             assert scan.n_s == 1 and scan.leaders is None
             assert sum(evaluated) == len(scan.keys) == 1
 
@@ -766,7 +772,7 @@ def test_witness_class_with_one_spread_leader():
         for (p, e, d), encs, t in (((2, 1, 6), [58, 1, 0, 58, 59], 5), ((2, 2, 5), [1, 0, 236], 3)):
             ctx = gf.make_field(p, e, d)
             f = lp.QPoly.from_encs(ctx, encs)
-            scan = sc._line_scan(f, t)
+            scan = sc._line_scan([f], t)
             verdict = sc._fiber_verdict(f, scan)
             assert tuple(w.val for w in verdict.witness) == first_brute_witness(f, t)
             logs = ctx.log_power_sum_at_logs(scan.terms, ctx.log_vec([verdict.witness[0].val]))
