@@ -193,7 +193,9 @@ def as_matrix(f: QPoly):
 
 
 def matrix_rank(ctx: FieldCtx, rows) -> int:
-    """Rank of a matrix of FFElt entries by Gaussian elimination."""
+    """Rank of a matrix of FFElt entries by Gauss-Jordan elimination, which
+    leaves the list `rows` in reduced row echelon form: the pivot rows first,
+    each with a 1 in its pivot column and 0 there on every other row."""
     m = [[e.val for e in row] for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
@@ -212,6 +214,7 @@ def matrix_rank(ctx: FieldCtx, rows) -> int:
         rank += 1
         if rank == nrows:
             break
+    rows[:] = [[FFElt(ctx, v) for v in row] for row in m]
     return rank
 
 

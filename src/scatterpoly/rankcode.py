@@ -18,7 +18,7 @@ import numpy as np
 
 from .gf import FieldCtx, FieldError
 from .linpoly import QPoly
-from .scattered import ScatterVerdict, _kernel_dim_chunks, _sweep_stacks, scatter_test
+from .scattered import _kernel_dim_chunks, _sweep_stacks, scattered_many
 
 
 @dataclass(frozen=True)
@@ -94,5 +94,4 @@ def scattered_mrd_bridge(spec: CodeSpec, ceiling=None) -> bool:
     """Executable equivalence: the pair (f, t) is scattered exactly when the
     code has minimum distance n - 1.  True on every valid input."""
     report = min_distance(spec, ceiling)
-    verdict: ScatterVerdict = scatter_test(spec.f, spec.t, ceiling)
-    return verdict.scattered == (report.min_distance == spec.ctx.d - 1)
+    return scattered_many([spec.f], spec.t, ceiling)[0] == (report.min_distance == spec.ctx.d - 1)

@@ -13,8 +13,10 @@ The ratio is constant on each F_q^*-line {lambda*x}, the points of the
 linear set, so the fiber scan reads one x = gen^k per line, k below
 M = (order - 1)/(q - 1), and evaluates there from k itself: a fiber of
 q^w - 1 elements is (q^w - 1)/(q - 1) lines.  The witness is the first pair
-of the full canonical order, found by walking encodings up to the first
-element of a shared ratio and taking its least mate off its own line.
+of the full canonical order: x is found by walking encodings up to the
+first element of a shared ratio c, and y is the least element off the line
+x*F_q of ker(c*X^(q^t) - f), read off one Gauss-Jordan elimination, which
+so checks each witness.
 
 Both routes use the Frobenius symmetry of f.  With mu a nonzero coefficient
 of f and r the least divisor of N = e*d for which tau(x) = x^(p^r) fixes
@@ -98,7 +100,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import gf
+from . import gf, linpoly
 from .gf import CeilingExceeded, ContextMismatch, FFElt, FieldCtx, FieldError, check_ceiling
 from .linpoly import NormalizedInstance, QPoly, evaluate_vec
 
@@ -176,13 +178,9 @@ class _LineScan(NamedTuple):
     P: int  # tau(x) = x^P
     powers: np.ndarray  # P^j mod (order - 1), j < N/r
     n_s: int  # the scale translations join line k to the lines k + i*n_s
-    step: int  # n_s*(q^i0 - q^t) mod (order - 1): the log of R' on line k + i*n_s is i*step more
-    m: int  # gcd(order - 1, step): a class is an orbit of log R' mod m
-    leaders: np.ndarray | None  # the orbit leaders among the k < n_s (None: every k)
-    sizes: np.ndarray | int  # their orbit sizes mod n_s
+    m: int  # gcd(order - 1, n_s*(q^i0 - q^t)): a class is an orbit of log R' mod m
     bits: int  # _KEY_BITS, or 0 when tau is trivial and every orbit has size 1
-    keys: np.ndarray  # per leader: its class << bits | its orbit size less 1; one row per pair of a stack
-    ranked: np.ndarray  # the keys ascending along the last axis
+    ranked: np.ndarray  # per leader: its class << bits | its orbit size less 1, ascending; one row per pair of a stack
 
     @property
     def trivial(self) -> bool:
@@ -239,7 +237,8 @@ def _line_scan(fs, t: int, ceiling=None) -> _LineScan:
     at the leaders only, in blocks whose N/r conjugate logs fill
     _SCAN_BLOCK.  Each leader is keyed by its class, the least element of
     the orbit of log R' mod m under l -> P*l, m = gcd(order - 1, step), and
-    by its orbit size mod n_s.  A class holds (its orbit size mod m) *
+    by its orbit size mod n_s, and the int32 keys are sorted in place: the
+    scan keeps that one array.  A class holds (its orbit size mod m) *
     (order - 1)/m ratios, one for the ratio 0, and the lines of its leaders,
     (orbit size mod n_s) * M/n_s each, spread evenly over them; each
     leader's orbit alone covers them, so the pair is scattered iff every
@@ -262,8 +261,7 @@ def _line_scan(fs, t: int, ceiling=None) -> _LineScan:
         if M - n_s * r // ctx.N < _ORBIT_SCAN_MIN:  # the classes leave about n_s/(N/r) leaders
             mu, r, n_s = 1, ctx.N, M
     n_orb, P = ctx.N // r, ctx.p ** r
-    step = n_s * shift % q1
-    m = math.gcd(q1, step)
+    m = math.gcd(q1, n_s * shift)
     powers = np.array([pow(P, j, q1) for j in range(n_orb)], dtype=np.int64) if n_orb > 1 else _NO_POWERS
     terms = _ratio_terms(fs, t)
     if mu != 1:
@@ -290,8 +288,8 @@ def _line_scan(fs, t: int, ceiling=None) -> _LineScan:
             least <<= bits
             least |= size - 1
         keys[..., lo:hi] = least  # below 2^31
-    return _LineScan(ctx, mu, terms, evaluate, P, powers, n_s, step, m, leaders, sizes, bits, keys,
-                     np.sort(keys, axis=-1))
+    keys.sort(axis=-1)
+    return _LineScan(ctx, mu, terms, evaluate, P, powers, n_s, m, bits, keys)
 
 
 def _classes(scan: _LineScan):
@@ -318,7 +316,7 @@ def scatter_test(f: QPoly, t: int, ceiling=None) -> ScatterVerdict:
     """
     if f.is_zero():
         raise FieldError("scatteredness is undefined for the zero map")
-    return _fiber_verdict(f, _line_scan([f], t, ceiling))
+    return _fiber_verdict(f, t, _line_scan([f], t, ceiling))
 
 
 def scattered_many(fs, t: int, ceiling=None) -> list[bool]:
@@ -353,7 +351,7 @@ def scatter_report(f: QPoly, t: int, ceiling=None) -> tuple[ScatterVerdict, Line
         raise FieldError("scatteredness is undefined for the zero map")
     scan = _line_scan([f], t, ceiling)
     classes = _classes(scan)
-    return _fiber_verdict(f, scan, classes), _weight_spectrum(f.ctx, classes)
+    return _fiber_verdict(f, t, scan, classes), _weight_spectrum(f.ctx, classes)
 
 
 def _scattered(scan: _LineScan, classes=None):
@@ -367,21 +365,19 @@ def _scattered(scan: _LineScan, classes=None):
     return (lines == values).all()
 
 
-def _fiber_verdict(f: QPoly, scan: _LineScan, classes=None) -> ScatterVerdict:
+def _fiber_verdict(f: QPoly, t: int, scan: _LineScan, classes=None) -> ScatterVerdict:
     """The verdict from the class scan of the one pair (f, t) (_scattered),
     with the first witness in canonical order; classes is _classes(scan)
     when the caller has it already.
     x is the least encoding whose ratio lies on two lines or more:
     encodings are walked in blocks that double from _WALK_BLOCK, and the
-    walk stops at the first block holding one.  Its mates are the points of
-    the lines over its ratio, and y is the least of them off the line of x.
-    Those lines are found per leader k of the class of x and per j below
-    its orbit size, never by listing the class: the lines P^j*k + i*n_s
-    carry the log P^j*log R'(k) + i*step, which is the log of R'(x) for the
-    i that solve one linear congruence mod order - 1."""
+    walk stops at the first block holding one.  With c = f(x)/x^(q^t), the
+    fiber over c is the nonzero kernel of c*X^(q^t) - f (_kernel), and y is
+    its least element off the line x*F_q.  A kernel of dimension below 2,
+    or one without x, contradicts the scan and raises."""
     if _scattered(scan, classes):
         return ScatterVerdict(True, None)
-    ctx, M = f.ctx, _lines(f.ctx)
+    ctx = f.ctx
     start, size = 1, _WALK_BLOCK
     while True:
         xs = np.arange(start, min(start + size, ctx.order), dtype=np.int64)
@@ -397,50 +393,37 @@ def _fiber_verdict(f: QPoly, scan: _LineScan, classes=None) -> ScatterVerdict:
         if fat.any():
             break
         start, size = start + size, 2 * size
-    idx = int(np.argmax(fat))
-    x_enc, target = int(xs[idx]), int(logs[idx])
-    hit = np.flatnonzero(scan.keys >> scan.bits == least[idx])
-    if scan.leaders is None:  # every k < n_s is its own orbit
-        on, sizes = hit, np.ones(len(hit), dtype=np.int8)
-    else:
-        on, sizes = scan.leaders[hit], scan.sizes[hit]
-    if not scan.trivial:
-        on = _lines_at_log(scan, on, sizes, target)
-    # the points gen^(k + jM) of the lines over the ratio of x
-    ks = on[:, None] + M * np.arange(ctx.q - 1)
-    mates = np.sort(ctx.power_sum_at_logs([(1, 1)], ks.ravel()))
-    ix = ctx.inv_i(x_enc)
-    for m in mates.tolist():
-        if m != x_enc and not ctx.in_subfield_i(ctx.mul_i(m, ix)):
-            return ScatterVerdict(False, (FFElt(ctx, x_enc), FFElt(ctx, m)))
+    x = int(xs[np.argmax(fat)])
+    c = ctx.mul_i(linpoly.evaluate(f, x).val, ctx.inv_i(ctx.frob_i(x, t)))
+    kernel = _kernel(QPoly.monomial(ctx, t, c).sub(f))
+    if len(kernel) > ctx.q and (kernel == x).any():
+        ix = ctx.inv_i(x)
+        # the line x*F_q holds q elements of the kernel, 0 among them, so
+        # one of the q + 1 least lies off it
+        for y in np.sort(np.partition(kernel, ctx.q)[: ctx.q + 1]).tolist():
+            if not ctx.in_subfield_i(ctx.mul_i(y, ix)):
+                return ScatterVerdict(False, (FFElt(ctx, x), FFElt(ctx, y)))
     raise FieldError("internal error: fat fiber without an off-line mate")
 
 
-def _lines_at_log(scan: _LineScan, ks, sizes, target: int) -> np.ndarray:
-    """The lines P^j*k + i*n_s mod M, k of ks, j below the orbit size of k
-    in sizes and 0 <= i < M/n_s, on which log R' is target (-1: R' = 0).
-
-    With l = log R'(gen^k) that log is P^j*l + i*step mod order - 1, so i
-    solves i*step = target - P^j*l mod order - 1: solvable iff m divides
-    the right side, and then i is one residue mod (order - 1)/m, a divisor
-    of M/n_s.  Every line of a leader with R' = 0 has R' = 0."""
-    ctx = scan.ctx
-    q1, M = ctx.order - 1, _lines(ctx)
-    per_k = M // scan.n_s
-    lines = gf.mulmod(ks[:, None], scan.powers % M, M)  # [k, j]: the line P^j*k
-    use = np.arange(len(scan.powers)) < sizes[:, None]
-    if target < 0:
-        i = np.arange(per_k)
-    else:
-        rhs = target - gf.mulmod(scan.evaluate(scan.terms, ks)[:, None], scan.powers, q1)
-        rhs %= q1
-        use &= rhs % scan.m == 0
-        period = q1 // scan.m
-        i0 = rhs[use] // scan.m * pow(scan.step // scan.m, -1, period) % period
-        i = i0[:, None] + period * np.arange(per_k // period)
-    lines = lines[use].reshape(-1, 1) + scan.n_s * i
-    lines %= M
-    return lines.ravel()
+def _kernel(g: QPoly) -> np.ndarray:
+    """The encodings of ker g, all q^dim of them, 0 included: the F_q-span
+    of one vector per column j without a pivot in the reduced rows that
+    matrix_rank leaves of as_matrix(g), on its basis gen^i: 1 at j, and
+    minus each pivot row's entry in column j at that row's pivot."""
+    ctx = g.ctx
+    rows = linpoly.as_matrix(g)
+    rank = linpoly.matrix_rank(ctx, rows)
+    pivots = [next(j for j, v in enumerate(row) if v.val) for row in rows[:rank]]
+    basis = [ctx.pow_i(ctx.gen_enc, i) for i in range(ctx.d)]
+    scalars = np.array(ctx.subfield_elems(), dtype=np.int64)
+    span = np.zeros(1, dtype=np.int64)
+    for j in set(range(ctx.d)).difference(pivots):
+        u = basis[j]
+        for piv, row in zip(pivots, rows):
+            u = ctx.sub_i(u, ctx.mul_i(row[j].val, basis[piv]))
+        span = ctx.power_sum([(1, u), (0, span[:, None])], scalars).ravel()  # span + a*u over a in F_q
+    return span
 
 
 def _batch_rank_modp(a: np.ndarray, inv: np.ndarray) -> np.ndarray:

@@ -6,20 +6,21 @@ the (f, t) pairs whose scatteredness was tested, which the acceptance tests
 cross-check with other routes.  Results are memoized per (name, seed,
 ceiling) since every campaign is deterministic.
 
-`monomial-law`, `family-13`, `corollary38` (its completions and its m = 1
-verdicts) and `bridge` (its verdicts and distances) test each (field, t)
-group of their pairs as one stack (`scattered.scattered_many`,
-`scattered.find_many_roots_completions`, `rankcode.min_distances`), groups
-in the order of their first pair; checks, failures and instances keep the
-order of the per-pair loop.  A stack checks its field against the ceiling
-before it builds its terms.  `family-13` and `corollary38` stack each
-field's pairs where that loop tested them; `monomial-law` and `bridge`
-stack every pair up front, which stops at the same field: the former makes
-no other call that can raise, and the first pair of the latter lies over
-its larger field.  So a ceiling stops a suite with the error line of the
-per-pair loop.  The curve counts of `bridge`, the extension scans of
-`corollary38` and `theorem34-soundness` (which tests only its few
-guaranteed verdicts, so a stack of all 200 pairs costs more) stay per pair.
+`monomial-law`, `family-13`, `corollary38` (its completions, and one stack
+of lifts per extension, m = 1 included) and `bridge` (its verdicts and
+distances) test each (field, t) group of their pairs as one stack
+(`scattered.scattered_many`, `scattered.find_many_roots_completions`,
+`rankcode.min_distances`), groups in the order of their first pair;
+checks, failures and instances keep the order of the per-pair loop.  A
+stack checks its field against the ceiling before it builds its terms.
+`family-13` and `corollary38` stack each field's pairs where that loop
+tested them; `monomial-law` and `bridge` stack every pair up front, which
+stops at the same field: the former makes no other call that can raise,
+and the first pair of the latter lies over its larger field.  So a ceiling
+stops a suite with the error line of the per-pair loop.  The curve counts
+of `bridge` and the verdicts of `theorem34-soundness` (only its few
+guaranteed ones, so a stack of all 200 costs more) stay per pair.  No
+suite builds a witness.
 """
 
 from __future__ import annotations
@@ -166,20 +167,31 @@ def run_corollary38(seed: int = 0, ceiling=None) -> SuiteResult:
                 completions += a is not None
             bvs = _norm_ne_one_encs(ctx)
             fs = [QPoly(ctx, [FFElt(ctx, bv), ctx.zero, one]) for bv in bvs]
-            for bv, f, scattered in zip(bvs, fs, _verdicts([(f, 1) for f in fs], ceiling)):
-                b = FFElt(ctx, bv)
+            # per m: (lift, verdict, norm condition) per b, or why m is
+            # skipped; no extension is built where no b has norm other than
+            # 1, and m = 1 lifts each f to itself
+            scans = {}
+            for m in _scan_horizon(q, n) if bvs else ():
+                try:
+                    gf.check_ceiling(ctx.order ** m, ceiling)
+                except gf.CeilingExceeded as exc:
+                    scans[m] = str(exc)
+                    continue
+                ext = gf.make_field(p, e, n * m)
+                phi = gf.embed(ctx, ext)
+                lifts = [QPoly.from_encs(ext, [phi.map_enc(v) for v in f.encs]) for f in fs]
+                norms = [gf.norm_rel(phi(f.coeff(0))) != ext.one for f in fs]
+                scans[m] = list(zip(lifts, _verdicts([(g, 1) for g in lifts], ceiling), norms))
+            for i, (bv, f) in enumerate(zip(bvs, fs)):
                 res.instances.append((f, 1))
-                res.check(scattered, f"q={q} n={n} b={bv}: not scattered at m=1")
-                for entry in sc.scan_extensions(f, 1, _scan_horizon(q, n), ceiling):
-                    if entry.verdict is None:
-                        res.check(False, f"q={q} n={n} b={bv} m={entry.m}: skipped ({entry.skipped})")
+                res.check(scans[1][i][1], f"q={q} n={n} b={bv}: not scattered at m=1")
+                for m, scan in scans.items():
+                    if isinstance(scan, str):
+                        res.check(False, f"q={q} n={n} b={bv} m={m}: skipped ({scan})")
                         continue
-                    ext = gf.make_field(p, e, n * entry.m)
-                    phi = gf.embed(ctx, ext)
-                    res.instances.append((QPoly.from_encs(ext, [phi.map_enc(v) for v in f.encs]), 1))
-                    got = entry.verdict.scattered
-                    predicted = gf.norm_rel(phi(b)) != ext.one
-                    res.check(got == predicted, f"q={q} n={n} b={bv} m={entry.m}: scattered={got}, "
+                    lift, got, predicted = scan[i]
+                    res.instances.append((lift, 1))
+                    res.check(got == predicted, f"q={q} n={n} b={bv} m={m}: scattered={got}, "
                                                 f"norm condition predicts {predicted}")
     res.details["completions_found"] = completions
     return res
@@ -347,7 +359,7 @@ def run_theorem34_soundness(seed: int = 0, ceiling=None) -> SuiteResult:
         if verdict.guaranteed:
             reasons[verdict.reason] = reasons.get(verdict.reason, 0) + 1
             res.instances.append((f, 0))
-        res.check(not (verdict.guaranteed and sc.scatter_test(f, 0, ceiling).scattered),
+        res.check(not (verdict.guaranteed and sc.scattered_many([f], 0, ceiling)[0]),
                   f"q={ctx.q} n={n} i={i} k={k} f={f.encs}: verdict contradicted")
     res.details["reason_counts"] = reasons
     return res

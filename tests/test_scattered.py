@@ -615,7 +615,9 @@ def _check_class_scan(f, t):
     per_value = lines // values
     assert (per_value * values == lines).all()
     # the residue 0 mod n_s is fixed by tau
-    assert scan.leaders is None or min(scan.sizes) < len(scan.powers)
+    n_orb = len(scan.powers)
+    if n_orb > 1 and scan.n_s > 1:
+        assert min(f.ctx.line_orbits(f.ctx.N // n_orb, scan.n_s)[1]) < n_orb
     expected = first_brute_witness(f, t)
     assert verdict.scattered == (expected is None)
     if expected is not None:
@@ -731,14 +733,14 @@ def test_scale_classes_count_guard(monkeypatch):
     monkeypatch.setattr(gf.FieldCtx, "log_power_sum_at_logs", counted)
     scan = sc._line_scan([lp.QPoly.from_encs(ext, [b, 0, 1])], 1)
     assert (scan.n_s, len(scan.powers)) == ((ext.order - 1) // 8, 3)
-    assert sum(evaluated) == len(scan.keys) == 22150
+    assert sum(evaluated) == len(scan.ranked) == 22150
     monkeypatch.setattr(gf.FieldCtx, "line_orbits", refused)
     for ctx in (ext, gf.make_field(2, 1, 16)):
         for s in range(2 * ctx.d):
             evaluated.clear()
             scan = sc._line_scan([lp.QPoly.monomial(ctx, s)], 1)
-            assert scan.n_s == 1 and scan.leaders is None
-            assert sum(evaluated) == len(scan.keys) == 1
+            assert scan.n_s == 1
+            assert sum(evaluated) == len(scan.ranked) == 1
 
 
 def test_scatter_report_builds_the_class_table_once(monkeypatch):
@@ -773,11 +775,97 @@ def test_witness_class_with_one_spread_leader():
             ctx = gf.make_field(p, e, d)
             f = lp.QPoly.from_encs(ctx, encs)
             scan = sc._line_scan([f], t)
-            verdict = sc._fiber_verdict(f, scan)
+            verdict = sc._fiber_verdict(f, t, scan)
             assert tuple(w.val for w in verdict.witness) == first_brute_witness(f, t)
             logs = ctx.log_power_sum_at_logs(scan.terms, ctx.log_vec([verdict.witness[0].val]))
             least = sc._ratio_classes(logs, scan.powers, scan.m)
-            assert np.count_nonzero(scan.keys >> scan.bits == least[0]) == 1
+            assert np.count_nonzero(scan.ranked >> scan.bits == least[0]) == 1
+
+
+# p in {2, 3, 5, 7}, e > 1 among them; each also taken with a random
+# explicit modulus
+KERNEL_FIELDS = [(2, 1, 4), (2, 2, 3), (2, 1, 6), (3, 1, 3), (3, 2, 2), (5, 1, 3), (7, 1, 2)]
+
+
+def test_kernel_is_the_fiber():
+    # the kernel of c*X^(q^t) - f, read off the reduced rows of as_matrix,
+    # is the fiber {x != 0 : f(x) = c*x^(q^t)} and 0, for random c, c = 0
+    # and the ratio of a random x (so fibers of every size occur)
+    rnd = random.Random(31)
+    fields = [gf.make_field(*pe_d) for pe_d in KERNEL_FIELDS]
+    fields += [_explicit_modulus_field(rnd, [pe_d]) for pe_d in KERNEL_FIELDS]
+    for ctx in fields:
+        d = ctx.d
+        xs = np.arange(1, ctx.order, dtype=np.int64)
+        for _ in range(8):
+            t = rnd.randrange(2 * d)
+            kind = rnd.randrange(3)
+            if kind == 0:  # a monomial: fibers of dimension gcd(s - t, d)
+                encs = [0] * rnd.randrange(2 * d) + [rnd.randrange(1, ctx.order)]
+            elif kind == 1:  # vanishes on a subfield: the fiber over 0
+                a, b = rnd.sample(range(2 * d), 2)
+                encs = [0] * (max(a, b) + 1)
+                encs[a], encs[b] = 1, ctx.neg_i(1)
+            else:
+                encs = [rnd.randrange(ctx.order) for _ in range(rnd.randrange(1, 2 * d + 1))]
+            f = lp.QPoly.from_encs(ctx, encs)
+            fx = lp.evaluate_vec(f, xs)
+            x = rnd.randrange(1, ctx.order)
+            ratio = ctx.mul_i(lp.evaluate(f, gf.FFElt(ctx, x)).val, ctx.inv_i(ctx.frob_i(x, t)))
+            for c in (0, rnd.randrange(1, ctx.order), ratio):
+                kernel = sc._kernel(lp.QPoly.monomial(ctx, t, c).sub(f))
+                fiber = xs[fx == ctx.mul_vec(ctx.frob_vec(xs, t), np.int64(c))]
+                assert len(set(kernel.tolist())) == len(kernel) == len(fiber) + 1
+                assert sorted(kernel.tolist()) == [0] + fiber.tolist()
+
+
+def test_thin_kernel_under_a_fat_fiber_raises(monkeypatch):
+    # every witness is checked against linear algebra as it is made: a
+    # kernel of dimension 1 under a fiber the scan found fat raises
+    f16 = gf.make_field(2, 1, 4)
+    kernel = sc._kernel
+
+    def line(g):
+        k = kernel(g)
+        return g.ctx.mul_vec(np.array(g.ctx.subfield_elems(), dtype=np.int64), int(k[k > 0].min()))
+    monkeypatch.setattr(sc, "_kernel", line)
+    assert sc.scatter_test(lp.QPoly.monomial(f16, 1), 0).scattered
+    for f, t in ((lp.QPoly.monomial(f16, 2), 0), (lp.QPoly.from_encs(f16, [1, 0, 1]), 1)):
+        with pytest.raises(gf.FieldError, match="internal error: fat fiber without an off-line mate"):
+            sc.scatter_test(f, t)
+        with pytest.raises(gf.FieldError, match="internal error"):
+            sc.scatter_report(f, t)
+
+
+def test_lifted_binomial_witness_is_pinned():
+    # b*X + X^(q^2), t = 1, b from F_27 with N(b) = 2, lifted into F_(3^12):
+    # N(b)^4 = 1 there, so the pair is not scattered; the witnesses are
+    # pinned values, found before by a mate search over lines
+    small, ext = gf.make_field(3, 1, 3), gf.make_field(3, 1, 12)
+    phi = gf.embed(small, ext)
+    for bv, witness in ((3, (1, 8181)), (4, (1, 7371)), (5, (1, 8118))):
+        assert gf.norm_rel(small.elem(bv)).val == 2
+        f = lp.QPoly.from_encs(ext, [phi.map_enc(bv), 0, 1])
+        verdict = sc.scatter_test(f, 1)
+        assert tuple(w.val for w in verdict.witness) == witness
+        x, y = verdict.witness
+        assert lp.evaluate(f, x) * gf.frobenius(y, 1) == lp.evaluate(f, y) * gf.frobenius(x, 1)
+        assert not ext.in_subfield_i((y / x).val)
+
+
+def test_line_scan_keeps_one_key_array():
+    # the scan holds its keys once, sorted in place: one int32 array, for
+    # a stack, a single pair under the trivial group and one under the
+    # class group
+    f64 = gf.make_field(2, 1, 6)
+    small, ext = gf.make_field(3, 1, 4), gf.make_field(3, 1, 12)
+    b = gf.embed(small, ext).map_enc(small.gen_enc)
+    stack = [lp.QPoly.from_encs(f64, [1, 5]), lp.QPoly.from_encs(f64, [0, 1, 1]), lp.QPoly.monomial(f64, 2)]
+    for fs, t, shape in ((stack, 0, (3, 63)), (stack[:1], 0, (63,)), ([lp.QPoly.from_encs(ext, [b, 0, 1])], 1, (22150,))):
+        scan = sc._line_scan(fs, t)
+        keys = [v for v in scan if isinstance(v, np.ndarray) and v.dtype == np.int32]
+        assert len(keys) == 1 and keys[0] is scan.ranked and scan.ranked.base is None
+        assert scan.ranked.shape == shape and (np.diff(scan.ranked, axis=-1) >= 0).all()
 
 
 def test_linear_set_partition_identity():

@@ -152,41 +152,64 @@ class _Counting:
 
 @pytest.mark.parametrize("name", ["monomial-law", "family-13", "corollary38", "bridge"])
 def test_suites_make_one_stacked_call_per_group(name, monkeypatch):
-    # no per-pair scatter_test or min_distance from the suite itself, and one
-    # stacked call per (field, t) group of its stacked pairs, each pair in
-    # exactly one call; no sweep of these small fields reads the stabilizer
+    # no per-pair scatter_test, scan_extensions or min_distance from the
+    # suite itself, and one stacked call per (field, t) group of its stacked
+    # pairs, each pair in exactly one call; no sweep of these small fields
+    # reads the stabilizer
     calls = []
-    monkeypatch.setattr(suites, "sc", _Counting(sc, {"scatter_test", "scattered_many", "find_many_roots_completion",
+    monkeypatch.setattr(suites, "sc", _Counting(sc, {"scatter_test", "scan_extensions", "scattered_many",
+                                                     "find_many_roots_completion",
                                                      "find_many_roots_completions"}, calls))
     monkeypatch.setattr(suites, "rk", _Counting(rk, {"min_distance", "min_distances"}, calls))
+    monkeypatch.setattr(suites, "gf", _Counting(gf, {"make_field"}, calls))
 
     def refused(f, t):
         raise AssertionError("the stabilizer read by a sweep below the threshold")
     monkeypatch.setattr(sc, "_semilinear_stabilizer", refused)
     res = suites.SUITES[name](seed=0)
     assert res.passed
-    assert not [c for c, _ in calls if c in ("scatter_test", "min_distance", "find_many_roots_completion")]
+    assert not [c for c, _ in calls if c in ("scatter_test", "scan_extensions", "min_distance",
+                                             "find_many_roots_completion")]
     # corollary38's completions: one stack per field, q in {2, 3}, n in {3, 4}
     completion_calls = [args[0] for c, args in calls if c == "find_many_roots_completions"]
     assert [len(bs) for bs in completion_calls] == ([7, 15, 13, 40] if name == "corollary38" else [])
     stacked = res.instances
-    if name == "corollary38":
-        # its m = 1 pairs, over the fields where some b has norm other than
-        # 1, which its scan over extensions lists a second time at m = 1
-        stacked = list(dict.fromkeys((f, t) for f, t in stacked if (f.ctx.q, f.ctx.d) in {(3, 3), (3, 4)}))
-    groups = {(f.ctx, t) for f, t in stacked}
     verdict_calls = [args for c, args in calls if c == "scattered_many"]
-    assert len(verdict_calls) == len(groups)
+    if name == "corollary38":
+        # one stack per (n, extension field) over which some b has norm
+        # other than 1, q = 3 only, holding each b's lift once, m = 1
+        # included (the instances list each m = 1 pair twice, as the pair
+        # and as its lift); F_(3^12) lifts from n = 3 and from n = 4 apart,
+        # and no extension of a q = 2 field is built
+        stacked = list(dict.fromkeys(stacked))
+        assert [(len(fs), fs[0].ctx.d) for fs, _, _ in verdict_calls] == \
+            [(13, 3), (13, 6), (13, 9), (13, 12), (40, 4), (40, 8), (40, 12)]
+        assert all(len(set(fs)) == len(fs) for fs, _, _ in verdict_calls)
+        made = {args[:3] for c, args in calls if c == "make_field"}
+        assert made == {(2, 1, 3), (2, 1, 4), (3, 1, 3), (3, 1, 4), (3, 1, 6), (3, 1, 8), (3, 1, 9), (3, 1, 12)}
+    else:
+        assert len(verdict_calls) == len({(f.ctx, t) for f, t in stacked})
     got = []
     for fs, t, *_ in verdict_calls:
         assert len({f.ctx for f in fs}) == 1
         got += [(f, t) for f in fs]
     assert sorted(map(repr, got)) == sorted(map(repr, stacked))
     distance_calls = [args[0] for c, args in calls if c == "min_distances"]
-    assert len(distance_calls) == (len(groups) if name == "bridge" else 0)
+    assert len(distance_calls) == (len({(f.ctx, t) for f, t in stacked}) if name == "bridge" else 0)
     assert sum(len(specs) for specs in distance_calls) == (200 if name == "bridge" else 0)
     for specs in distance_calls:
         assert len({(s.ctx, s.t) for s in specs}) == 1
+
+
+def test_theorem34_soundness_tests_each_verdict_without_a_witness(monkeypatch):
+    # each guaranteed verdict is checked by a stack of one, and neither
+    # scatter_test nor scan_extensions builds a witness the suite would drop
+    calls = []
+    monkeypatch.setattr(suites, "sc", _Counting(sc, {"scatter_test", "scan_extensions", "scattered_many"}, calls))
+    res = suites.SUITES["theorem34-soundness"](seed=0)
+    assert res.passed and res.instances
+    assert [c for c, _ in calls] == ["scattered_many"] * len(res.instances)
+    assert [(args[0], args[1]) for _, args in calls] == [([f], t) for f, t in res.instances]
 
 
 def test_sweep_rule_is_chosen_from_the_field_order(monkeypatch):
